@@ -43,8 +43,10 @@ from .fp import (
     DEFAULT_BUDGET,
     FpMatrix,
     RefusedSize,
+    _check_prime,
     coverage,
     solution_indices,
+    sweep_kernel,
     sweep_shard,
 )
 from .operators import (
@@ -336,8 +338,18 @@ def cmd_dim_report(args) -> int:
     return 0
 
 
+def _field(args) -> int:
+    try:
+        _check_prime(args.field)
+    except ValueError as err:
+        raise UsageError(f"--field: {err}") from err
+    return args.field
+
+
 def _sharded_indices(args, table, kind, p):
     if args.shards and args.shards > 1:
+        # refuse here, before p^n jobs are listed and workers started
+        sweep_kernel(table, kind, p, budget=args.budget, path=args.path)
         stride = p ** table.dim
         catalog_path = str(_base_dir(args) / "catalog.json")
         bindings = {k: str(v) for k, v in _parse_params(args.param).items()}
@@ -358,7 +370,7 @@ def cmd_enumerate(args) -> int:
     kind = _make_kind(args)
     if kind.name == "rota-baxter" and kind.weight.params():
         raise UsageError("--weight must be a constant for finite-field work")
-    sols = _sharded_indices(args, table, kind, args.field)
+    sols = _sharded_indices(args, table, kind, _field(args))
     n = table.dim
     shown = sols.tolist() if args.limit == 0 else sols.tolist()[:args.limit]
     payload = {"algebra": table.name, "kind": kind.name, "p": args.field,
@@ -382,18 +394,18 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    table = _bind(_table(args, args.name), _parse_params(args.param),
-                  require_bound=True)
+    source = _table(args, args.name)
+    table = _bind(source, _parse_params(args.param), require_bound=True)
     kind = _make_kind(args)
     if kind.name == "rota-baxter" and kind.weight.params():
         raise UsageError("--weight must be a constant for finite-field work")
-    p = args.field
+    p = _field(args)
     fams = [f for f in _families_for(args, kind.name)
             if f.algebra == table.name and not f.malformed]
     verified = []
     for f in fams:
         try:
-            if verify_family(_table(args, args.name), f).holds:
+            if verify_family(source, f).holds:
                 verified.append(f)
         except ExactError:
             continue

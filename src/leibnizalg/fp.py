@@ -18,12 +18,21 @@ Two independent evaluation paths are kept deliberately:
 Agreement of the two paths on a full sweep is itself a checked property.
 All arithmetic is integer arithmetic reduced mod p; no floating point is
 involved anywhere.
+
+At p = 2 both paths are bitsliced: entry t of every matrix in a block is one
+bit plane, a product is an AND of planes and a sum is an XOR.  The compiled
+path ANDs the entries of each monomial (x^e = x over F_2) and XORs the
+monomials with odd coefficient into each equation; the direct path runs its
+contractions as AND/XOR over planes and still reads only the structure
+constants mod 2.  For p > 2 the integer kernels are used; a sweep is refused
+when the worst case of their intermediates does not fit their dtype.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -56,9 +65,43 @@ class RefusedSize(ExactError):
     """A brute-force request exceeds the configured budget."""
 
 
+#: Miller-Rabin with the primes up to 41 as bases decides primality of every
+#: integer below this bound (Sorenson and Webster, Math. Comp. 86, 2017);
+#: larger fields are refused, so checking a field never costs more than a
+#: few modular powers
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_prime(p: int):
-    if not isinstance(p, int) or p < 2 or any(p % d == 0
-                                              for d in range(2, int(p ** 0.5) + 1)):
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"{p!r} is not a prime")
+    if p >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"fields of size {_MILLER_RABIN_BOUND} or more "
+                         f"are not supported")
+    if not _is_prime(p):
         raise ValueError(f"{p!r} is not a prime")
 
 
@@ -119,6 +162,37 @@ class CompiledSystem:
     def equation_count(self) -> int:
         return self.coeffs.shape[1]
 
+    @cached_property
+    def f2_terms(self) -> tuple:
+        """Gather and segment arrays that evaluate the system by bit planes.
+
+        Returns (positions, mono_starts, terms, eq_starts).  Monomial t is
+        the AND of the planes positions[mono_starts[t]:mono_starts[t + 1]];
+        exponents drop since x^e = x over F_2, and no monomial is constant
+        because every operator identity vanishes at T = 0.  Each equation
+        with an odd coefficient is the XOR of the monomials
+        terms[eq_starts[k]:eq_starts[k + 1]]; equations without one vanish
+        identically and are left out.
+        """
+        positions, mono_starts = [], []
+        for mono in self.monos:
+            mono_starts.append(len(positions))
+            positions.extend(sorted({pos for pos, _ in mono}))
+        eqs, terms = np.nonzero((self.coeffs % 2).T)
+        eq_starts = np.flatnonzero(np.diff(eqs, prepend=-1))
+        return (np.array(positions, dtype=np.intp),
+                np.array(mono_starts, dtype=np.intp), terms, eq_starts)
+
+    def worst_intermediate(self) -> int:
+        """Largest value the integer kernel can hold before reducing mod p:
+        an equation's sum with every entry at p - 1.  Every term is
+        nonnegative, so partial sums and products stay below it."""
+        if not self.monos:
+            return 0
+        top = np.array([(self.p - 1) ** sum(e for _, e in mono)
+                        for mono in self.monos], dtype=object)
+        return int(max(self.coeffs.T.astype(object) @ top))
+
 
 def compile_system(table: AlgebraTable, kind: OperatorKind,
                    p: int) -> CompiledSystem:
@@ -162,6 +236,13 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
 
 
 def _digit_block(idx: np.ndarray, n2: int, p: int) -> np.ndarray:
+    """Digit t (little-endian, base p) of every counter value, in column t.
+
+    At p = 2 the digits are the counter's bits, unpacked from its bytes.
+    """
+    if p == 2:
+        octets = idx.astype("<u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, count=n2, bitorder="little")
     out = np.empty((idx.size, n2), dtype=np.int32)
     rem = idx.astype(np.int64)
     for t in range(n2):
@@ -170,7 +251,30 @@ def _digit_block(idx: np.ndarray, n2: int, p: int) -> np.ndarray:
     return out
 
 
+def _bit_planes(digits: np.ndarray) -> np.ndarray:
+    """A 0/1 digit block as bit planes: bit i of row t's uint64 words is
+    digit t of matrix i.  Bits past the last matrix are 0."""
+    packed = np.packbits(np.ascontiguousarray(digits.T), axis=1,
+                         bitorder="little")
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return packed.view(np.uint64)
+
+
+def _solution_bits(bad: np.ndarray, rows: int) -> np.ndarray:
+    """Mask of the matrices whose bit is clear in the plane of failures."""
+    return np.unpackbits(bad.view(np.uint8), count=rows,
+                         bitorder="little") == 0
+
+
 def _compiled_mask(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+    if cs.p == 2:
+        return _compiled_mask_f2(cs, digits)
+    return _compiled_mask_int(cs, digits)
+
+
+def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     values = np.ones((digits.shape[0], len(cs.monos)), dtype=np.int32)
     for col, mono in enumerate(cs.monos):
         acc = np.ones(digits.shape[0], dtype=np.int32)
@@ -179,6 +283,16 @@ def _compiled_mask(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
         values[:, col] = acc
     residues = (values @ cs.coeffs) % cs.p
     return (residues == 0).all(axis=1)
+
+
+def _compiled_mask_f2(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+    positions, mono_starts, terms, eq_starts = cs.f2_terms
+    if terms.size == 0:
+        return np.ones(digits.shape[0], dtype=bool)
+    planes = _bit_planes(digits)
+    monos = np.bitwise_and.reduceat(planes[positions], mono_starts, axis=0)
+    eqs = np.bitwise_xor.reduceat(monos[terms], eq_starts, axis=0)
+    return _solution_bits(np.bitwise_or.reduce(eqs, axis=0), digits.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +310,22 @@ def _table_mod_p(table: AlgebraTable, p: int) -> np.ndarray:
     return cm
 
 
+def _direct_worst(n: int, p: int) -> int:
+    """Largest value _direct_mask_int can hold before reducing mod p: the
+    n^2 products of three entries in [T e_i, T e_j], or the weighted
+    rota-baxter inner sum."""
+    return max(n * n * (p - 1) ** 3, (p - 1) ** 2 + 2 * (p - 1))
+
+
 def _direct_mask(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
                  p: int, n: int) -> np.ndarray:
+    if p == 2:
+        return _direct_mask_f2(cm, kind, digits, n)
+    return _direct_mask_int(cm, kind, digits, p, n)
+
+
+def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
+                     p: int, n: int) -> np.ndarray:
     T = digits.reshape(-1, n, n).astype(np.int16)
     btt = np.einsum("mai,mbj,abk->mijk", T, T, cm) % p
     bte = np.einsum("mai,ajk->mijk", T, cm) % p
@@ -223,17 +351,57 @@ def _direct_mask(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
     return left & right
 
 
+def _direct_mask_f2(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
+                    n: int) -> np.ndarray:
+    """_direct_mask_int at p = 2 over bit planes: P[a, i] is the plane of
+    entry (a, i), and C[i, j, k] is all ones where the structure constant
+    c_ij^k is odd.  Axis names follow the integer kernel's einsums; the
+    comments give the axes before the XOR over the summed one."""
+    P = _bit_planes(digits).reshape(n, n, -1)
+    C = np.where(cm % 2 == 1, ~np.uint64(0), np.uint64(0))[..., None]
+    xor = np.bitwise_xor.reduce
+    bte = xor(P[:, :, None, None] & C[:, None], axis=0)       # a,i,j,k
+    bet = xor(P[None, :, :, None] & C[:, :, None], axis=1)    # i,b,j,k
+    btt = xor(P[:, :, None, None] & bet[:, None], axis=0)     # a,i,j,k
+
+    def tap(tensor):
+        return xor(P[None, None] & tensor[:, :, None], axis=3)  # i,j,q,k
+
+    if kind.name == "rota-baxter":
+        inner = bte ^ bet
+        if reduce_mod_p(kind.weight, 2):
+            inner ^= C
+        bad = btt ^ tap(inner)
+    elif kind.name == "nijenhuis":
+        tb = xor(P[None, None] & C[:, :, None], axis=3)          # i,j,q,k
+        bad = btt ^ tap(bte ^ bet ^ tb)
+    elif kind.name == "reynolds":
+        bad = btt ^ tap(bet ^ bte ^ btt)
+    else:
+        bad = (btt ^ tap(bte)) | (btt ^ tap(bet))
+    bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
+    return _solution_bits(bad, digits.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # sweeping
 
-def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
-                     budget: int = DEFAULT_BUDGET, path: str = "compiled",
-                     shard: int | None = None,
-                     chunk: int = 1 << 14) -> np.ndarray:
-    """Counter values of all solution matrices, ascending.
+def _refuse_width(worst: int, dtype, path: str, p: int):
+    limit = int(np.iinfo(dtype).max)
+    if worst > limit:
+        raise RefusedSize(
+            f"the {path} kernel over F_{p} can reach {worst} before reducing "
+            f"mod p, past the {np.dtype(dtype).name} limit {limit}; use a "
+            f"smaller prime")
 
-    With shard set, only matrices whose first row encodes that value are
-    scanned; the p^n shards partition the full space.
+
+def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
+                 budget: int = DEFAULT_BUDGET, path: str = "compiled"):
+    """The mask function of a sweep, once every refusal has been made.
+
+    Sweeps that exceed the budget, or whose integer kernel could overflow
+    at this p, are refused here, before any matrix is evaluated; a caller
+    that splits a sweep into shards calls this first to refuse early.
     """
     _check_prime(p)
     if not table.is_bound():
@@ -247,17 +415,36 @@ def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
             f"{budget}; pass a larger budget to allow it")
     if path == "compiled":
         cs = compile_system(table, kind, p)
+        if p > 2:
+            _refuse_width(cs.worst_intermediate(), np.int32, path, p)
 
         def evaluate(digits):
             return _compiled_mask(cs, digits)
     elif path == "direct":
+        if p > 2:
+            _refuse_width(_direct_worst(n, p), np.int16, path, p)
         cm = _table_mod_p(table, p)
 
         def evaluate(digits):
             return _direct_mask(cm, kind, digits, p, n)
     else:
         raise ValueError(f"unknown evaluation path {path!r}")
+    return evaluate
 
+
+def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
+                     budget: int = DEFAULT_BUDGET, path: str = "compiled",
+                     shard: int | None = None,
+                     chunk: int = 1 << 14) -> np.ndarray:
+    """Counter values of all solution matrices, ascending.
+
+    With shard set, only matrices whose first row encodes that value are
+    scanned; the p^n shards partition the full space.  Refusals are those
+    of sweep_kernel.
+    """
+    evaluate = sweep_kernel(table, kind, p, budget=budget, path=path)
+    n = table.dim
+    total = p ** (n * n)
     if shard is None:
         blocks = (np.arange(start, min(start + chunk, total), dtype=np.int64)
                   for start in range(0, total, chunk))

@@ -2,10 +2,12 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
+from leibnizalg import cli, fp
 from leibnizalg.algebra import data_dir
 from leibnizalg.cli import main
 
@@ -250,6 +252,50 @@ def test_enumerate_refuses_oversize_field(capsys):
                        "--field", "3")
     assert code == 2
     assert "budget" in err
+
+
+def test_enumerate_refuses_huge_prime_before_any_work(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
+                       "--field", str(2 ** 61 - 1))
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("path,dtype", [("compiled", "int32"),
+                                        ("direct", "int16")])
+def test_enumerate_refuses_prime_past_kernel_width(capsys, monkeypatch,
+                                                   path, dtype):
+    def sweep_started(*args):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(fp, "_digit_block", sweep_started)
+    code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
+                       "--field", "1009", "--budget", str(1009 ** 16),
+                       "--path", path)
+    assert code == 2
+    assert "refused" in err and dtype in err
+
+
+def test_sharded_enumerate_refuses_before_starting_workers(capsys,
+                                                          monkeypatch):
+    def pool_started(*args, **kwargs):
+        raise AssertionError("the worker pool started")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool_started)
+    for extra in (["--field", "3"],
+                  ["--field", "17", "--budget", str(17 ** 16),
+                   "--path", "direct"]):
+        code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
+                           "--shards", "2", *extra)
+        assert code == 2
+        assert "refused" in err
+
+
+def test_enumerate_rejects_composite_field(capsys):
+    code, _, err = run(capsys, "enumerate", "L1", "--op", "nijenhuis",
+                       "--field", "4")
+    assert code == 2
+    assert "not a prime" in err
 
 
 def test_enumerate_requires_bound_parameters(capsys):

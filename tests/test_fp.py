@@ -1,10 +1,20 @@
 """Tests for the finite-field brute-force oracle."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from leibnizalg.algebra import bind_params, catalog_map, sample_bindings
+from leibnizalg import fp
+from leibnizalg.algebra import (
+    AlgebraTable,
+    bind_params,
+    catalog_map,
+    sample_bindings,
+)
 from leibnizalg.exact import (
     NonInvertibleDenominator,
     NonRealValue,
@@ -29,6 +39,7 @@ from leibnizalg.fp import (
     sweep_shard,
 )
 from leibnizalg.operators import (
+    KIND_NAMES,
     OperatorFamily,
     load_all_families,
     make_kind,
@@ -121,13 +132,16 @@ def test_paths_agree_on_examples(cmap):
 
 def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
     kind = make_kind("nijenhuis")
-    parts = [solution_indices(cmap["L1"], kind, 2, shard=s)
-             for s in range(16)]
-    merged = sorted(int(m) for part in parts for m in part.tolist())
-    assert merged == l1_nij_solutions.tolist()
-    # each shard only holds matrices with its first row
-    for s, part in enumerate(parts):
-        assert all(int(m) % 16 == s for m in part.tolist())
+    # a chunk that is not a multiple of 64 leaves the bitsliced kernels a
+    # partial last word
+    for path, chunk in (("compiled", 1 << 14), ("direct", 1000)):
+        parts = [solution_indices(cmap["L1"], kind, 2, shard=s, path=path,
+                                  chunk=chunk) for s in range(16)]
+        merged = sorted(int(m) for part in parts for m in part.tolist())
+        assert merged == l1_nij_solutions.tolist()
+        # each shard only holds matrices with its first row
+        for s, part in enumerate(parts):
+            assert all(int(m) % 16 == s for m in part.tolist())
 
 
 def test_sweep_shard_worker_matches_inline(cmap, l1_nij_solutions):
@@ -197,6 +211,155 @@ def test_enumerate_solutions_yields_matrices(cmap, l1_nij_solutions):
     seq = list(enumerate_solutions(cmap["L1"], make_kind("nijenhuis"), 2))
     assert [m.index() for m in seq] == l1_nij_solutions.tolist()
     assert all(isinstance(m, FpMatrix) and m.p == 2 for m in seq)
+
+
+# ---------------------------------------------------------------------------
+# bitsliced F_2 kernels against the integer kernels
+
+@st.composite
+def mod2_tables(draw):
+    """A random table of 0/1 structure constants (not necessarily Leibniz:
+    the kernels evaluate the operator identity for any bracket)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n ** 3,
+                         max_size=n ** 3))
+    c = [[[RatExpr.const(bits[(i * n + j) * n + k]) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    return AlgebraTable("random", n, c)
+
+
+@st.composite
+def kinds(draw):
+    name = draw(st.sampled_from(KIND_NAMES))
+    if name == "rota-baxter":
+        return make_kind(name, draw(st.integers(-3, 3)))
+    return make_kind(name)
+
+
+def digit_blocks(n):
+    """0/1 digit blocks whose length is rarely a multiple of 64, so the
+    padding of the last plane word is exercised."""
+    return arrays(np.uint8, st.tuples(st.integers(1, 300), st.just(n * n)),
+                  elements=st.integers(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mod2_tables(), kinds(), st.data())
+def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
+    cs = compile_system(table, kind, 2)
+    digits = data.draw(digit_blocks(table.dim))
+    assert (fp._compiled_mask_f2(cs, digits).tolist()
+            == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mod2_tables(), kinds(), st.data())
+def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
+    n = table.dim
+    cm = fp._table_mod_p(table, 2)
+    digits = data.draw(digit_blocks(n))
+    assert (fp._direct_mask_f2(cm, kind, digits, n).tolist()
+            == fp._direct_mask_int(cm, kind, digits, 2, n).tolist())
+
+
+def _int_kernel_sweep(table, kind):
+    """Full p = 2 sweep by the integer kernels, block by block."""
+    n = table.dim
+    cs = compile_system(table, kind, 2)
+    cm = fp._table_mod_p(table, 2)
+    compiled, direct = [], []
+    for start in range(0, 2 ** (n * n), 1 << 14):
+        idx = np.arange(start, start + (1 << 14), dtype=np.int64)
+        digits = ((idx[:, None] >> np.arange(n * n)) & 1).astype(np.int32)
+        compiled.append(idx[fp._compiled_mask_int(cs, digits)])
+        direct.append(idx[fp._direct_mask_int(cm, kind, digits, 2, n)])
+    return np.concatenate(compiled).tolist(), np.concatenate(direct).tolist()
+
+
+@pytest.mark.parametrize("name", ["L1", "L17"])
+def test_odd_weight_rota_baxter_full_sweep(cmap, name):
+    # the gate sweeps weight 0 only; weight 1 brings in the w*[x,y] plane
+    kind = make_kind("rota-baxter", 1)
+    want_compiled, want_direct = _int_kernel_sweep(cmap[name], kind)
+    assert want_compiled == want_direct
+    for path in ("compiled", "direct"):
+        got = solution_indices(cmap[name], kind, 2, path=path)
+        assert got.tolist() == want_compiled
+    weight0 = solution_indices(cmap[name], make_kind("rota-baxter"), 2)
+    assert weight0.tolist() != want_compiled
+
+
+# ---------------------------------------------------------------------------
+# integer widths of the p > 2 kernels and field checks
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Fail at once, instead of sweeping p^16 matrices, if a refusal that
+    should come before the sweep does not."""
+    def sweep_started(*args):
+        raise AssertionError("the sweep started")
+    monkeypatch.setattr(fp, "_digit_block", sweep_started)
+
+
+def test_width_guard_refuses_overflowing_primes(cmap, no_sweep):
+    p = 1009
+    budget = p ** 16 + 1      # the budget alone would admit the sweep
+    kind = make_kind("reynolds")
+    with pytest.raises(RefusedSize, match="int32"):
+        solution_indices(cmap["L1"], kind, p, budget=budget,
+                         path="compiled")
+    with pytest.raises(RefusedSize, match="int16"):
+        solution_indices(cmap["L1"], kind, p, budget=budget, path="direct")
+
+
+def test_compiled_width_guard_is_tight_and_sufficient(cmap, no_sweep):
+    # on L1 reynolds the int32 bound falls between 673 and 677
+    kind = make_kind("reynolds")
+    with pytest.raises(RefusedSize, match="int32"):
+        solution_indices(cmap["L1"], kind, 677, budget=677 ** 16,
+                         path="compiled")
+    cs = compile_system(cmap["L1"], kind, 673)
+    assert cs.worst_intermediate() <= np.iinfo(np.int32).max
+    wide = dataclasses.replace(cs, coeffs=cs.coeffs.astype(np.int64))
+    rng = np.random.default_rng(0)
+    digits = rng.integers(0, 673, size=(200, 16))
+    digits[0] = 672                       # the worst case, every entry p - 1
+    assert (fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist()
+            == fp._compiled_mask_int(wide, digits).tolist())
+
+
+def test_direct_width_guard_is_tight_and_sufficient(cmap, no_sweep):
+    kind = make_kind("nijenhuis")
+    with pytest.raises(RefusedSize, match="int16"):
+        solution_indices(cmap["L1"], kind, 17, budget=17 ** 16,
+                         path="direct")
+    assert fp._direct_worst(4, 13) <= np.iinfo(np.int16).max
+    cm = fp._table_mod_p(cmap["L2"], 13)
+    rng = np.random.default_rng(0)
+    digits = rng.integers(0, 13, size=(200, 16))
+    digits[0] = 12
+    for name in KIND_NAMES:
+        k = make_kind(name, 12) if name == "rota-baxter" else make_kind(name)
+        assert (fp._direct_mask_int(cm, k, digits, 13, 4).tolist()
+                == fp._direct_mask_int(cm.astype(np.int64), k, digits, 13,
+                                       4).tolist())
+
+
+def test_primality_check_is_fast_and_exact():
+    small = [q for q in range(2, 5000)
+             if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+    assert [q for q in range(5000) if fp._is_prime(q)] == small
+    # strong pseudoprimes to the prime bases up to 23 and up to 37, and a
+    # Carmichael number
+    for c in (3825123056546413051, 318665857834031151167461, 561):
+        assert not fp._is_prime(c)
+    t0 = time.perf_counter()
+    fp._check_prime(2 ** 61 - 1)      # trial division would take minutes
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError):
+        fp._check_prime(2 ** 89 - 1)          # past the proven bound
+    with pytest.raises(ValueError):
+        fp._check_prime(3 * 5)
 
 
 # ---------------------------------------------------------------------------
