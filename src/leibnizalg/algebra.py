@@ -8,6 +8,10 @@ The defining identity is checked through the residual
 
 which must vanish identically; the bracket notation [.,.] here and below is
 the algebra product, not a commutator.
+
+ResidualTensor is the one residual type of the package: the Leibniz
+residual above, the mixed residual of two brackets (compat) and the
+operator residuals (operators) are all read through its labelled walk.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from pathlib import Path
 
 from .exact import (
     ExactError,
     ExprSyntaxError,
     RatExpr,
+    RE_ONE,
     RE_ZERO,
     Scalar,
     SC_ZERO,
@@ -149,76 +155,77 @@ def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
     return AlgebraTable(table.name, table.dim, c, new_params)
 
 
+def unit(n: int, i: int):
+    """Coefficient vector of the basis element e_i (0-based)."""
+    return [RE_ONE if q == i else RE_ZERO for q in range(n)]
+
+
 class ResidualTensor:
-    """A dim^3 family of coefficient vectors indexed by basis triples."""
+    """The residual of an identity, one coefficient vector per basis tuple.
 
-    __slots__ = ("dim", "entries")
+    entries maps each 0-based basis tuple (i, j) or (i, j, k), in
+    lexicographic order, to a list of RatExpr.  With conditions empty the
+    list holds the dim coordinates of one identity; otherwise it holds dim
+    coordinates per named condition, in the order of conditions.  The
+    identity holds iff every coordinate vanishes identically.
+    """
 
-    def __init__(self, dim: int, entries):
+    __slots__ = ("dim", "entries", "conditions")
+
+    def __init__(self, dim: int, entries: dict, conditions=()):
         self.dim = dim
-        self.entries = entries  # entries[i][j][k] is a list of RatExpr
+        self.entries = entries
+        self.conditions = conditions
+
+    @classmethod
+    def tabulate(cls, dim: int, arity: int, coords, conditions=()):
+        """The tensor whose vector at a basis tuple is coords(*tuple)."""
+        return cls(dim, {index: coords(*index)
+                         for index in iter_product(range(dim), repeat=arity)},
+                   conditions)
+
+    def walk(self):
+        """Every coordinate as (label, value), in lexicographic order.
+
+        The label is the 1-based (i, j[, k], q), followed by the condition
+        name when the tensor has conditions.
+        """
+        q_range = range(1, self.dim + 1)
+        tails = [(q, c) for c in self.conditions for q in q_range] \
+            if self.conditions else [(q,) for q in q_range]
+        for index, vec in self.entries.items():
+            where = tuple(a + 1 for a in index)
+            for tail, value in zip(tails, vec):
+                yield where + tail, value
+
+    def first_failure(self, condition=None):
+        """The first nonzero coordinate as label + (value,), or None; with
+        condition given, only that condition's coordinates are read."""
+        for label, value in self.walk():
+            if not value.is_zero and condition in (None, label[-1]):
+                return label + (value,)
+        return None
 
     @property
     def is_zero(self) -> bool:
         return self.first_failure() is None
 
-    def first_failure(self):
-        """Lexicographically first 1-based (i, j, k, q, value) that is nonzero."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    vec = self.entries[i][j][k]
-                    for q in range(len(vec)):
-                        if not vec[q].is_zero:
-                            return (i + 1, j + 1, k + 1, q + 1, vec[q])
-        return None
+    def holds(self, condition) -> bool:
+        """Whether every coordinate of the named condition vanishes."""
+        return self.first_failure(condition) is None
 
 
 def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
     """R(e_i,e_j,e_k) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]."""
     n = table.dim
-    c = table.c
 
-    def compose_left(i, vec):
-        # [e_i, v] for a coefficient vector v
-        out = [RE_ZERO] * n
-        for p in range(n):
-            vp = vec[p]
-            if vp.is_zero:
-                continue
-            row = c[i][p]
-            for q in range(n):
-                if not row[q].is_zero:
-                    out[q] = out[q] + vp * row[q]
-        return out
+    def coords(i, j, k):
+        t1 = table.bracket(unit(n, i), table.product(j, k))
+        t2 = table.bracket(table.product(i, j), unit(n, k))
+        t3 = table.bracket(table.product(i, k), unit(n, j))
+        return [t1[q] - t2[q] + t3[q] for q in range(n)]
 
-    def compose_right(vec, j):
-        # [v, e_j]
-        out = [RE_ZERO] * n
-        for p in range(n):
-            vp = vec[p]
-            if vp.is_zero:
-                continue
-            row = c[p][j]
-            for q in range(n):
-                if not row[q].is_zero:
-                    out[q] = out[q] + vp * row[q]
-        return out
-
-    entries = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            line = []
-            for k in range(n):
-                t1 = compose_left(i, table.product(j, k))
-                t2 = compose_right(table.product(i, j), k)
-                t3 = compose_right(table.product(i, k), j)
-                line.append([t1[q] - t2[q] + t3[q] for q in range(n)])
-            plane.append(line)
-        entries.append(plane)
-    return ResidualTensor(n, entries)
+    return ResidualTensor.tabulate(n, 3, coords)
 
 
 def combined_bracket(a: AlgebraTable, b: AlgebraTable, l1, l2) -> AlgebraTable:

@@ -350,12 +350,8 @@ def _sharded_indices(args, table, kind, p):
     if args.shards and args.shards > 1:
         # refuse here, before p^n jobs are listed and workers started
         sweep_kernel(table, kind, p, budget=args.budget, path=args.path)
-        stride = p ** table.dim
-        catalog_path = str(_base_dir(args) / "catalog.json")
-        bindings = {k: str(v) for k, v in _parse_params(args.param).items()}
-        weight = str(kind.weight) if kind.weight is not None else None
-        jobs = [(catalog_path, args.name, bindings, kind.name, weight, p, s,
-                 args.budget, args.path) for s in range(stride)]
+        jobs = [(table, kind, p, s, args.budget, args.path)
+                for s in range(p ** table.dim)]
         with ProcessPoolExecutor(max_workers=args.shards) as pool:
             parts = list(pool.map(sweep_shard, jobs))
         merged = sorted(m for part in parts for m in part)

@@ -30,8 +30,9 @@ from .algebra import (
     data_dir,
     leibniz_residual,
     sample_bindings,
+    unit,
 )
-from .exact import RatExpr, RE_ZERO, RE_ONE
+from .exact import RatExpr
 
 SCAN_NOTE = ("pairs are compared in the shared fixed basis as stored; "
              "no basis change is attempted")
@@ -44,26 +45,17 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
         raise ValueError("tables have different dimensions")
     n = a.dim
 
-    def unit(i):
-        return [RE_ONE if q == i else RE_ZERO for q in range(n)]
+    def coords(i, j, k):
+        t1 = b.bracket(unit(n, i), a.product(j, k))
+        t2 = a.bracket(unit(n, i), b.product(j, k))
+        t3 = b.bracket(a.product(i, j), unit(n, k))
+        t4 = a.bracket(b.product(i, j), unit(n, k))
+        t5 = b.bracket(a.product(i, k), unit(n, j))
+        t6 = a.bracket(b.product(i, k), unit(n, j))
+        return [t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
+                for q in range(n)]
 
-    entries = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            line = []
-            for k in range(n):
-                t1 = b.bracket(unit(i), a.product(j, k))
-                t2 = a.bracket(unit(i), b.product(j, k))
-                t3 = b.bracket(a.product(i, j), unit(k))
-                t4 = a.bracket(b.product(i, j), unit(k))
-                t5 = b.bracket(a.product(i, k), unit(j))
-                t6 = a.bracket(b.product(i, k), unit(j))
-                line.append([t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
-                             for q in range(n)])
-            plane.append(line)
-        entries.append(plane)
-    return ResidualTensor(n, entries)
+    return ResidualTensor.tabulate(n, 3, coords)
 
 
 def _disjoin_params(a: AlgebraTable, b: AlgebraTable):
@@ -192,7 +184,22 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
     """
     tables = list(tables)
     names = [t.name for t in tables]
-    diagonal = [t.name for t in tables if is_compatible(t, t)]
+    leibniz = {}
+
+    def compatible_pair(a, b):
+        # is_compatible for parameter-disjoint tables, each table's Leibniz
+        # residual computed once per scan
+        for t in (a, b):
+            key = (t.dim, tuple((e.num, e.den) for plane in t.c
+                                for row in plane for e in row))
+            if key not in leibniz:
+                leibniz[key] = leibniz_residual(t).is_zero
+            if not leibniz[key]:
+                return False
+        return mixed_residual(a, b).is_zero
+
+    diagonal = [t.name for t in tables
+                if compatible_pair(t, _disjoin_params(t, t)[0])]
 
     def bindings_of(table):
         return sample_bindings(table) if pool is None \
@@ -212,12 +219,12 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
                     bv = bind_params(b2, bb) if bb else b2
                     binding = {**{k: str(v) for k, v in ba.items()},
                                **{k: str(v) for k, v in bb.items()}}
-                    if is_compatible(av, bv):
+                    if compatible_pair(av, bv):
                         passing.append(binding)
                     elif failing_binding is None:
                         failing_binding = binding
             all_pass = failing_binding is None
-            if all_pass and is_compatible(a, b2):
+            if all_pass and compatible_pair(a, b2):
                 compatible.append(pair)
                 continue
             witness = pair_witness(a, b)

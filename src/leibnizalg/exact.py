@@ -474,10 +474,9 @@ class RatExpr:
             return NotImplemented
         return (self.num * o.den - o.num * self.den).is_zero
 
-    def __hash__(self):
-        # Unreduced representations of equal values may hash differently;
-        # only rely on hashing for already-normalized constants.
-        return hash((self.num, self.den))
+    # Equal values can have different unreduced representations, and no
+    # hash agrees with cross-multiplied equality without a GCD.
+    __hash__ = None
 
     def substitute(self, bindings: Mapping[str, "RatExpr"]) -> "RatExpr":
         """Replace parameters by RatExprs; unbound parameters stay symbolic."""
@@ -519,10 +518,6 @@ def _poly_substitute(p: Poly, bindings: Mapping[str, RatExpr]) -> RatExpr:
                 v = v * (b ** exp)
         total = total + v
     return total
-
-
-def substitute(e: RatExpr, bindings: Mapping[str, RatExpr]) -> RatExpr:
-    return e.substitute(bindings)
 
 
 def reduce_mod_p(e: RatExpr, p: int) -> int:

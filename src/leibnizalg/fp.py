@@ -37,7 +37,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .algebra import AlgebraTable, bind_params, catalog_map
+from .algebra import AlgebraTable
 from .exact import (
     DenominatorVanishes,
     ExactError,
@@ -45,10 +45,9 @@ from .exact import (
     NonRealValue,
     Poly,
     RatExpr,
-    parse_expr,
     reduce_mod_p,
 )
-from .operators import OperatorFamily, OperatorKind, build_system, make_kind, \
+from .operators import OperatorFamily, OperatorKind, build_system, \
     operator_residual
 
 #: sweeps and membership fallbacks refuse to run past this many cases unless
@@ -462,51 +461,14 @@ def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
     return np.concatenate(hits)
 
 
-def enumerate_solutions(table: AlgebraTable, kind: OperatorKind, p: int, *,
-                        budget: int = DEFAULT_BUDGET, path: str = "compiled"):
-    """Yield solutions as FpMatrix in deterministic counter order."""
-    for m in solution_indices(table, kind, p, budget=budget,
-                              path=path).tolist():
-        yield FpMatrix.from_index(m, table.dim, p)
-
-
 def sweep_shard(args):
     """Worker entry point for one shard; picklable for process pools.
 
-    args = (catalog_path, algebra, bindings, kind_name, weight, p, shard,
-            budget, path) with bindings/weight as parseable strings.
+    args = (table, kind, p, shard, budget, path) with the table bound.
     """
-    (catalog_path, algebra, bindings, kind_name, weight, p, shard,
-     budget, path) = args
-    table = catalog_map(catalog_path)[algebra]
-    if bindings:
-        table = bind_params(table, {k: parse_expr(v)
-                                    for k, v in bindings.items()})
-    kind = make_kind(kind_name, weight)
+    table, kind, p, shard, budget, path = args
     return solution_indices(table, kind, p, budget=budget, path=path,
                             shard=shard).tolist()
-
-
-def dual_path_check(table: AlgebraTable, kind: OperatorKind, p: int, *,
-                    budget: int = DEFAULT_BUDGET) -> dict:
-    """Full-sweep agreement between the compiled and direct paths."""
-    compiled = solution_indices(table, kind, p, budget=budget, path="compiled")
-    direct = solution_indices(table, kind, p, budget=budget, path="direct")
-    agree = compiled.shape == direct.shape and bool((compiled == direct).all())
-    first = None
-    if not agree:
-        sym = sorted(set(compiled.tolist()) ^ set(direct.tolist()))
-        first = sym[0] if sym else None
-    return {
-        "algebra": table.name,
-        "kind": kind.name,
-        "p": p,
-        "total": p ** (table.dim ** 2),
-        "compiled_count": int(compiled.size),
-        "direct_count": int(direct.size),
-        "agree": agree,
-        "first_disagreement": first,
-    }
 
 
 def lift_check(table: AlgebraTable, kind: OperatorKind, p: int, indices, *,
@@ -525,12 +487,9 @@ def lift_check(table: AlgebraTable, kind: OperatorKind, p: int, indices, *,
         T = [[RatExpr.const(M.entries[r][c]) for c in range(n)]
              for r in range(n)]
         res = operator_residual(table, kind, T)
-        for row in res:
-            for vec in row:
-                for e in vec:
-                    if reduce_mod_p(e, p) != 0:
-                        return {"ok": False, "checked": len(picked),
-                                "counterexample": m}
+        if any(reduce_mod_p(e, p) != 0 for _, e in res.walk()):
+            return {"ok": False, "checked": len(picked),
+                    "counterexample": m}
     return {"ok": True, "checked": len(picked), "counterexample": None}
 
 

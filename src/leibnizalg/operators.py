@@ -11,8 +11,11 @@ algebra product, the conditions are
 
 The averaging condition is kept as two one-sided identities that are checked
 and reported separately (their conjunction is what "averaging operator"
-means here).  Residuals are LHS - RHS expanded over basis pairs (e_i, e_j);
-T satisfies a condition iff every residual entry vanishes identically.
+means here).  Residuals are LHS - RHS expanded over basis pairs (e_i, e_j),
+held as an algebra.ResidualTensor whose coordinates are labelled
+(i, j, q, condition): condition is "" for the first three kinds and "left"
+or "right" for averaging, the left block first.  T satisfies a condition
+iff every coordinate carrying it vanishes identically.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import AlgebraTable, CatalogError, data_dir
+from .algebra import AlgebraTable, CatalogError, ResidualTensor, data_dir, \
+    unit
 from .exact import (
     DenominatorVanishes,
     ExprSyntaxError,
@@ -71,16 +75,14 @@ def make_kind(name: str, weight=None) -> OperatorKind:
     return OperatorKind(name)
 
 
-def _unit(n: int, i: int):
-    return [RE_ONE if q == i else RE_ZERO for q in range(n)]
+def operator_residual(table: AlgebraTable, kind: OperatorKind,
+                      T) -> ResidualTensor:
+    """Residual of the kind's condition(s) applied to T, over basis pairs.
 
-
-def operator_residual(table: AlgebraTable, kind: OperatorKind, T):
-    """Residual entries res[i][j] for the kind's condition(s) applied to T.
-
-    Each res[i][j] is a list of RatExpr: the dim coordinates of the residual
-    at (e_i, e_j), or 2*dim coordinates for averaging (left condition first,
-    then right).
+    The vector at (e_i, e_j) holds the dim coordinates of the residual, or
+    for averaging the left condition's dim coordinates and then the right
+    condition's; labels are (i, j, q, condition), condition "" for the
+    other kinds.
     """
     n = table.dim
     if len(T) != n or any(len(row) != n for row in T):
@@ -97,52 +99,29 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind, T):
             out.append(s)
         return out
 
-    res = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            ti, tj = cols[i], cols[j]
-            btt = table.bracket(ti, tj)
-            bte = table.bracket(ti, _unit(n, j))
-            bet = table.bracket(_unit(n, i), tj)
-            if kind.name == "rota-baxter":
-                bee = table.product(i, j)
-                inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
-                out = apply_t(inner)
-                row.append([btt[q] - out[q] for q in range(n)])
-            elif kind.name == "nijenhuis":
-                tb = apply_t(table.product(i, j))
-                inner = [bte[q] + bet[q] - tb[q] for q in range(n)]
-                out = apply_t(inner)
-                row.append([btt[q] - out[q] for q in range(n)])
-            elif kind.name == "reynolds":
-                inner = [bet[q] + bte[q] - btt[q] for q in range(n)]
-                out = apply_t(inner)
-                row.append([btt[q] - out[q] for q in range(n)])
-            else:  # averaging: left and right one-sided conditions
-                left = apply_t(bte)
-                right = apply_t(bet)
-                row.append([btt[q] - left[q] for q in range(n)]
-                           + [btt[q] - right[q] for q in range(n)])
-        res.append(row)
-    return res
+    def coords(i, j):
+        ti, tj = cols[i], cols[j]
+        btt = table.bracket(ti, tj)
+        bte = table.bracket(ti, unit(n, j))
+        bet = table.bracket(unit(n, i), tj)
+        if kind.name == "rota-baxter":
+            bee = table.product(i, j)
+            inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
+        elif kind.name == "nijenhuis":
+            tb = apply_t(table.product(i, j))
+            inner = [bte[q] + bet[q] - tb[q] for q in range(n)]
+        elif kind.name == "reynolds":
+            inner = [bet[q] + bte[q] - btt[q] for q in range(n)]
+        else:  # averaging: left and right one-sided conditions
+            left = apply_t(bte)
+            right = apply_t(bet)
+            return ([btt[q] - left[q] for q in range(n)]
+                    + [btt[q] - right[q] for q in range(n)])
+        out = apply_t(inner)
+        return [btt[q] - out[q] for q in range(n)]
 
-
-def residual_first_failure(res, n: int):
-    """First nonzero residual entry as (i, j, q, condition, RatExpr), 1-based."""
-    for i in range(len(res)):
-        for j in range(len(res[i])):
-            vec = res[i][j]
-            for t in range(len(vec)):
-                if not vec[t].is_zero:
-                    if len(vec) == 2 * n:
-                        cond = "left" if t < n else "right"
-                        q = t % n + 1
-                    else:
-                        cond = ""
-                        q = t + 1
-                    return (i + 1, j + 1, q, cond, vec[t])
-    return None
+    conditions = ("left", "right") if kind.name == "averaging" else ("",)
+    return ResidualTensor.tabulate(n, 2, coords, conditions)
 
 
 @dataclass
@@ -181,22 +160,11 @@ def build_system(table: AlgebraTable, kind: OperatorKind) -> EquationSystem:
     letter = UNKNOWN_LETTER[kind.name]
     unknowns = tuple(f"{letter}{r + 1}{c + 1}"
                      for r in range(n) for c in range(n))
-    res = operator_residual(table, kind, T)
     equations, denominators, labels = [], [], []
-    for i in range(n):
-        for j in range(n):
-            vec = res[i][j]
-            for t in range(len(vec)):
-                entry = vec[t]
-                if len(vec) == 2 * n:
-                    cond = "left" if t < n else "right"
-                    q = t % n + 1
-                else:
-                    cond = ""
-                    q = t + 1
-                equations.append(entry.num)
-                denominators.append(entry.den)
-                labels.append((i + 1, j + 1, q, cond))
+    for label, entry in operator_residual(table, kind, T).walk():
+        equations.append(entry.num)
+        denominators.append(entry.den)
+        labels.append(label)
     return EquationSystem(table.name, kind, n, unknowns,
                           equations, denominators, labels)
 
@@ -267,25 +235,20 @@ def verify_family(table: AlgebraTable, fam: OperatorFamily,
     else:
         kind = make_kind(fam.kind)
     res = operator_residual(table, kind, fam.chart)
-    n = table.dim
-    witness = residual_first_failure(res, n)
+    hit = res.first_failure()
+    witness = None if hit is None else hit[:-1] + (hit[-1].num,)
     if fam.kind != "averaging":
-        if witness is None:
-            return Verdict(True, None)
-        i, j, q, cond, value = witness
-        return Verdict(False, (i, j, q, cond, value.num))
-    left_ok = all(e.is_zero for row in res for vec in row for e in vec[:n])
-    right_ok = all(e.is_zero for row in res for vec in row for e in vec[n:])
-    if witness is None:
-        return Verdict(True, None, left=True, right=True)
-    i, j, q, cond, value = witness
-    return Verdict(False, (i, j, q, cond, value.num), left=left_ok, right=right_ok)
+        return Verdict(hit is None, witness)
+    return Verdict(hit is None, witness,
+                   left=res.holds("left"), right=res.holds("right"))
 
 
-def _parse_matrix(rows, pointer: str, dim: int):
-    if (not isinstance(rows, list) or len(rows) != dim
-            or any(not isinstance(r, list) or len(r) != dim for r in rows)):
-        raise CatalogError(pointer, f"chart must be {dim}x{dim}")
+def _parse_matrix(rows, pointer: str):
+    """A square chart of parsed expressions, of any size."""
+    if (not isinstance(rows, list) or not rows
+            or any(not isinstance(r, list) or len(r) != len(rows)
+                   for r in rows)):
+        raise CatalogError(pointer, "chart must be a square matrix")
     out = []
     for r, row in enumerate(rows):
         line = []
@@ -334,8 +297,7 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
             fams.append(OperatorFamily(algebra, kind, index, None, (), (),
                                        True, weight, obj.get("rows"), note))
             continue
-        dim = 4
-        chart = _parse_matrix(obj.get("chart"), f"{pointer}/chart", dim)
+        chart = _parse_matrix(obj.get("chart"), f"{pointer}/chart")
         free = obj.get("free", [])
         if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
             raise CatalogError(f"{pointer}/free", "free must be a list of names")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import leibnizalg
 from leibnizalg.algebra import (
     AlgebraTable,
     CatalogError,
@@ -215,3 +216,8 @@ class TestParamSpec:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             ParamSpec("m", "everything")._parsed()
+
+
+def test_package_exports_resolve():
+    for name in leibnizalg.__all__:
+        assert hasattr(leibnizalg, name), name

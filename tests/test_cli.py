@@ -305,13 +305,14 @@ def test_enumerate_requires_bound_parameters(capsys):
 
 
 def test_enumerate_sharded_matches_single(capsys):
-    single = run(capsys, "enumerate", "L1", "--op", "nijenhuis",
-                 "--field", "2", "--limit", "0", "--format", "json")
-    sharded = run(capsys, "enumerate", "L1", "--op", "nijenhuis",
-                  "--field", "2", "--limit", "0", "--format", "json",
-                  "--shards", "2")
-    assert single[0] == sharded[0] == 0
-    assert single[1] == sharded[1]
+    # the workers receive the bound table and kind, parameters included
+    for argv in (["L1", "--op", "nijenhuis"],
+                 ["L4", "--op", "averaging", "--param", "mu=1"]):
+        argv = ["enumerate", *argv, "--limit", "0", "--format", "json"]
+        single = run(capsys, *argv, "--shards", "1")
+        sharded = run(capsys, *argv, "--shards", "2")
+        assert single[0] == sharded[0] == 0
+        assert single[1] == sharded[1]
 
 
 def test_coverage_reports_charts(capsys):

@@ -47,8 +47,8 @@ def test_mixed_residual_of_equal_brackets_doubles_leibniz(cmap):
             for j in range(n):
                 for k in range(n):
                     for q in range(n):
-                        lhs = mixed.entries[i][j][k][q]
-                        rhs = RatExpr.const(2) * base.entries[i][j][k][q]
+                        lhs = mixed.entries[i, j, k][q]
+                        rhs = RatExpr.const(2) * base.entries[i, j, k][q]
                         assert lhs == rhs
         assert mixed.is_zero    # catalog tables satisfy the Leibniz identity
 
@@ -68,7 +68,7 @@ def test_mixed_residual_symmetric_in_the_two_brackets(cmap):
     ab = mixed_residual(a, b)
     ba = mixed_residual(b, a)
     n = a.dim
-    assert all(ab.entries[i][j][k][q] == ba.entries[i][j][k][q]
+    assert all(ab.entries[i, j, k][q] == ba.entries[i, j, k][q]
                for i in range(n) for j in range(n)
                for k in range(n) for q in range(n))
 

@@ -105,6 +105,14 @@ class TestRatExpr:
         q = R("x") ** -2
         assert q == R("1/(x^2)")
 
+    def test_unhashable_since_equal_values_differ_in_form(self):
+        # x*y/y == x, but no hash of the unreduced form could agree
+        assert R("x*y/y") == R("x")
+        with pytest.raises(TypeError):
+            hash(R("x"))
+        with pytest.raises(TypeError):
+            {R("x*y/y"), R("x")}
+
     def test_substitute_simple(self):
         q = R("(1+m)/(1-m)")
         assert q.substitute({"m": RatExpr.const(0)}) == RatExpr.const(1)

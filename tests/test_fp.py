@@ -30,8 +30,6 @@ from leibnizalg.fp import (
     chart_membership,
     compile_system,
     coverage,
-    dual_path_check,
-    enumerate_solutions,
     family_solution_set,
     lift_check,
     roundtrip_check,
@@ -123,11 +121,11 @@ def test_solution_indices_sorted_and_deterministic(cmap, l1_nij_solutions):
 def test_paths_agree_on_examples(cmap):
     for name, kname in (("L17", "rota-baxter"), ("L1", "averaging"),
                         ("L6", "reynolds")):
-        report = dual_path_check(cmap[name], make_kind(kname), 2)
-        assert report["agree"], report
-        assert report["compiled_count"] == report["direct_count"]
-        assert report["total"] == 2 ** 16
-        assert report["first_disagreement"] is None
+        kind = make_kind(kname)
+        compiled = solution_indices(cmap[name], kind, 2, path="compiled")
+        direct = solution_indices(cmap[name], kind, 2, path="direct")
+        assert compiled.size == direct.size
+        assert compiled.tolist() == direct.tolist(), (name, kname)
 
 
 def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
@@ -147,18 +145,19 @@ def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
 def test_sweep_shard_worker_matches_inline(cmap, l1_nij_solutions):
     got = []
     for s in range(16):
-        got.extend(sweep_shard((None, "L1", {}, "nijenhuis", None, 2, s,
+        got.extend(sweep_shard((cmap["L1"], make_kind("nijenhuis"), 2, s,
                                 DEFAULT_BUDGET, "compiled")))
     assert sorted(got) == l1_nij_solutions.tolist()
 
 
-def test_sweep_shard_worker_binds_parameters(cmap):
-    direct = bind_params(cmap["L4"], {"mu": RatExpr.const(1)})
-    want = solution_indices(direct, make_kind("averaging"), 2).tolist()
+def test_sweep_shard_worker_sweeps_bound_table(cmap):
+    table = bind_params(cmap["L4"], {"mu": RatExpr.const(1)})
+    kind = make_kind("averaging")
+    want = solution_indices(table, kind, 2).tolist()
     got = []
     for s in range(16):
-        got.extend(sweep_shard((None, "L4", {"mu": "1"}, "averaging", None,
-                                2, s, DEFAULT_BUDGET, "direct")))
+        got.extend(sweep_shard((table, kind, 2, s, DEFAULT_BUDGET,
+                                "direct")))
     assert sorted(got) == want
 
 
@@ -191,7 +190,9 @@ def test_nonreducible_tables_are_rejected(cmap):
     # but mu = 0 and mu = 2 reduce fine
     for v in (0, 2):
         t = bind_params(cmap["L20"], {"mu": RatExpr.const(v)})
-        assert dual_path_check(t, make_kind("nijenhuis"), 2)["agree"]
+        kind = make_kind("nijenhuis")
+        assert solution_indices(t, kind, 2, path="compiled").tolist() \
+            == solution_indices(t, kind, 2, path="direct").tolist()
 
 
 def test_compile_system_requires_bound_weight(cmap):
@@ -205,12 +206,6 @@ def test_compiled_system_shape(cmap):
     assert cs.equation_count <= 128
     assert all(all(exp <= 3 for _, exp in mono) for mono in cs.monos)
     assert all(0 <= pos < 16 for mono in cs.monos for pos, _ in mono)
-
-
-def test_enumerate_solutions_yields_matrices(cmap, l1_nij_solutions):
-    seq = list(enumerate_solutions(cmap["L1"], make_kind("nijenhuis"), 2))
-    assert [m.index() for m in seq] == l1_nij_solutions.tolist()
-    assert all(isinstance(m, FpMatrix) and m.p == 2 for m in seq)
 
 
 # ---------------------------------------------------------------------------

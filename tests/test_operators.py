@@ -27,7 +27,6 @@ from leibnizalg.operators import (
     load_families,
     make_kind,
     operator_residual,
-    residual_first_failure,
     unknown_matrix,
     verify_family,
 )
@@ -69,10 +68,6 @@ def _all_kinds():
     return [make_kind(k) for k in KIND_NAMES]
 
 
-def _residual_is_zero(res):
-    return all(e.is_zero for row in res for vec in row for e in vec)
-
-
 # ---------------------------------------------------------------------------
 # make_kind
 
@@ -102,7 +97,7 @@ def test_zero_map_satisfies_every_kind_everywhere(cmap):
     for table in cmap.values():
         z = _zero_matrix(table.dim)
         for kind in _all_kinds():
-            assert _residual_is_zero(operator_residual(table, kind, z)), \
+            assert operator_residual(table, kind, z).is_zero, \
                 f"zero map fails {kind.name} on {table.name}"
 
 
@@ -112,14 +107,14 @@ def test_identity_satisfies_nijenhuis_reynolds_and_weight_minus_one(cmap):
     for table in cmap.values():
         ident = _identity_matrix(table.dim)
         for kind in kinds:
-            assert _residual_is_zero(operator_residual(table, kind, ident)), \
+            assert operator_residual(table, kind, ident).is_zero, \
                 f"identity fails {kind.name} on {table.name}"
 
 
 def test_identity_fails_weight_zero_on_l1_with_first_witness(cmap):
     table = cmap["L1"]
     res = operator_residual(table, make_kind("rota-baxter"), _identity_matrix(4))
-    hit = residual_first_failure(res, 4)
+    hit = res.first_failure()
     assert hit is not None
     i, j, q, cond, value = hit
     # [e1,e1] = e2 while T(2[e1,e1]) = 2 e2, so the residual at (1,1) is -e2.
@@ -132,7 +127,7 @@ def test_identity_satisfies_averaging_everywhere(cmap):
     for table in cmap.values():
         res = operator_residual(table, make_kind("averaging"),
                                 _identity_matrix(table.dim))
-        assert _residual_is_zero(res), table.name
+        assert res.is_zero, table.name
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ def test_system_substitution_matches_direct_residual(cmap):
             res = operator_residual(table, kind, chart)
             for eq, den, (i, j, q, cond) in zip(sys.equations,
                                                 sys.denominators, sys.labels):
-                direct = res[i - 1][j - 1]
+                direct = res.entries[i - 1, j - 1]
                 t = q - 1 if cond in ("", "left") else 4 + q - 1
                 assert RatExpr(eq, den).substitute(binding) == direct[t], \
                     (name, kname, i, j, q, cond)
@@ -223,7 +218,28 @@ def test_system_substitution_matches_direct_residual_random(entries):
     res = operator_residual(table, kind, chart)
     for eq, den, (i, j, q, cond) in zip(sys.equations, sys.denominators,
                                         sys.labels):
-        assert RatExpr(eq, den).substitute(binding) == res[i - 1][j - 1][q - 1]
+        assert RatExpr(eq, den).substitute(binding) \
+            == res.entries[i - 1, j - 1][q - 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(KIND_NAMES),
+       st.lists(st.integers(min_value=-2, max_value=2),
+                min_size=16, max_size=16))
+def test_first_failing_equation_has_the_first_failure_label(kind_name,
+                                                             entries):
+    # build_system and first_failure read one labelled walk of the residual
+    table = catalog_map()["L1"]
+    kind = make_kind(kind_name)
+    sys = build_system(table, kind)
+    values = [RatExpr.const(x) for x in entries]
+    binding = dict(zip(sys.unknowns, values))
+    first = next((label for eq, den, label in zip(
+                      sys.equations, sys.denominators, sys.labels)
+                  if not RatExpr(eq, den).substitute(binding).is_zero), None)
+    T = [values[4 * r:4 * r + 4] for r in range(4)]
+    hit = operator_residual(table, kind, T).first_failure()
+    assert first == (None if hit is None else hit[:-1])
 
 
 def test_rota_baxter_scaling_identity(cmap):
@@ -239,7 +255,7 @@ def test_rota_baxter_scaling_identity(cmap):
     for i in range(4):
         for j in range(4):
             for q in range(4):
-                assert scaled[i][j][q] == c2 * base[i][j][q]
+                assert scaled.entries[i, j][q] == c2 * base.entries[i, j][q]
 
 
 def test_nijenhuis_shift_by_identity_preserves_residual(cmap):
@@ -255,7 +271,7 @@ def test_nijenhuis_shift_by_identity_preserves_residual(cmap):
     for i in range(4):
         for j in range(4):
             for q in range(4):
-                assert moved[i][j][q] == base[i][j][q]
+                assert moved.entries[i, j][q] == base.entries[i, j][q]
 
 
 @settings(max_examples=20, deadline=None)
@@ -272,7 +288,7 @@ def test_rota_baxter_scaling_identity_random(entries, cval, wval):
     scaled = operator_residual(table, make_kind("rota-baxter", c * w),
                                _scale_matrix(T, c))
     c2 = c * c
-    assert all(scaled[i][j][q] == c2 * base[i][j][q]
+    assert all(scaled.entries[i, j][q] == c2 * base.entries[i, j][q]
                for i in range(4) for j in range(4) for q in range(4))
 
 
@@ -292,14 +308,31 @@ def test_two_dim_table_is_right_leibniz():
     assert leibniz_residual(_two_dim_table()).is_zero
 
 
+def test_family_dimension_comes_from_the_chart(tmp_path):
+    # scalar multiples of the identity are Nijenhuis on any algebra
+    obj = _family_json(algebra="demo", chart=[["k11", "0"], ["0", "k11"]])
+    p = tmp_path / "nijenhuis.json"
+    p.write_text(json.dumps(obj))
+    fam, = load_families("nijenhuis", p)
+    assert len(fam.chart) == 2
+    assert verify_family(_two_dim_table(), fam).holds
+
+
+def test_load_families_rejects_ragged_chart(tmp_path):
+    p = tmp_path / "nijenhuis.json"
+    p.write_text(json.dumps(_family_json(chart=[["k11", "0"], ["0"]])))
+    with pytest.raises(CatalogError):
+        load_families("nijenhuis", p)
+
+
 def test_averaging_conditions_reported_separately():
     # T = E22 satisfies the right-sided identity but breaks the left-sided
     # one at (2,1): [Te2,Te1] = 0 while T[Te2,e1] = T(e2) = e2.
     table = _two_dim_table()
     T = [[RE_ZERO, RE_ZERO], [RE_ZERO, RE_ONE]]
     res = operator_residual(table, make_kind("averaging"), T)
-    assert all(len(vec) == 4 for row in res for vec in row)
-    hit = residual_first_failure(res, 2)
+    assert all(len(vec) == 4 for vec in res.entries.values())
+    hit = res.first_failure()
     assert hit is not None
     i, j, q, cond, value = hit
     assert (i, j, q, cond) == (2, 1, 2, "left")
