@@ -271,10 +271,6 @@ def echelon_basis(rows):
     return [b for _, b in basis]
 
 
-def scalar_rank(rows) -> int:
-    return len(echelon_basis(rows))
-
-
 def _scalar_tensor(table: AlgebraTable):
     if not table.is_bound():
         raise ValueError(

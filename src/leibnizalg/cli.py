@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ from .fp import (
     RefusedSize,
     _check_prime,
     coverage,
-    solution_indices,
     sweep_kernel,
     sweep_shard,
 )
@@ -346,42 +346,54 @@ def _field(args) -> int:
     return args.field
 
 
-def _sharded_indices(args, table, kind, p):
-    if args.shards and args.shards > 1:
-        # refuse here, before p^n jobs are listed and workers started
-        sweep_kernel(table, kind, p, budget=args.budget, path=args.path)
-        jobs = [(table, kind, p, s, args.budget, args.path)
-                for s in range(p ** table.dim)]
-        with ProcessPoolExecutor(max_workers=args.shards) as pool:
-            parts = list(pool.map(sweep_shard, jobs))
-        merged = sorted(m for part in parts for m in part)
-        return np.array(merged, dtype=np.int64)
-    return solution_indices(table, kind, p, budget=args.budget,
-                            path=args.path)
+def _sweep(args):
+    """The start shared by enumerate and coverage: bind the table, make
+    the kind, read the field, and sweep.
 
-
-def cmd_enumerate(args) -> int:
-    table = _bind(_table(args, args.name), _parse_params(args.param),
-                  require_bound=True)
+    The kernel is built once, making every refusal before any worker
+    starts; with --shards K > 1, a pool of at most K processes (no more
+    than there are shards or CPUs) runs that kernel over the p^n shards.
+    Returns (source table, parsed --param values, bound table, kind, p,
+    ascending solution indices).
+    """
+    source = _table(args, args.name)
+    params = _parse_params(args.param)
+    table = _bind(source, params, require_bound=True)
     kind = _make_kind(args)
     if kind.name == "rota-baxter" and kind.weight.params():
         raise UsageError("--weight must be a constant for finite-field work")
-    sols = _sharded_indices(args, table, kind, _field(args))
+    p = _field(args)
+    if args.shards < 1:
+        raise UsageError("--shards must be at least 1")
+    evaluate = sweep_kernel(table, kind, p, budget=args.budget,
+                            path=args.path)
     n = table.dim
-    shown = sols.tolist() if args.limit == 0 else sols.tolist()[:args.limit]
-    payload = {"algebra": table.name, "kind": kind.name, "p": args.field,
-               "total": args.field ** (n * n), "count": int(sols.size),
-               "solutions": [{"index": m,
-                              "entries": FpMatrix.from_index(m, n,
-                                                             args.field)
-                              .as_lists()} for m in shown],
+    if args.shards == 1:
+        return source, params, table, kind, p, sweep_shard(evaluate, n, p)
+    workers = min(args.shards, p ** n, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(partial(sweep_shard, evaluate, n, p),
+                              range(p ** n)))
+    return source, params, table, kind, p, np.sort(np.concatenate(parts))
+
+
+def _matrix_rows(M: FpMatrix) -> str:
+    return "; ".join(" ".join(str(x) for x in row) for row in M.entries)
+
+
+def cmd_enumerate(args) -> int:
+    _, _, table, kind, p, sols = _sweep(args)
+    n = table.dim
+    shown = [(m, FpMatrix.from_index(m, n, p))
+             for m in sols[:args.limit or None].tolist()]
+    payload = {"algebra": table.name, "kind": kind.name, "p": p,
+               "total": p ** (n * n), "count": int(sols.size),
+               "solutions": [{"index": m, "entries": M.as_lists()}
+                             for m, M in shown],
                "shown": len(shown)}
-    lines = [f"{table.name} {kind.name} over F_{args.field}: "
-             f"{sols.size} solutions among {args.field ** (n * n)} matrices"]
-    for m in shown:
-        M = FpMatrix.from_index(m, n, args.field)
-        rows = "; ".join(" ".join(str(x) for x in row) for row in M.entries)
-        lines.append(f"  #{m}: {rows}")
+    lines = [f"{table.name} {kind.name} over F_{p}: "
+             f"{sols.size} solutions among {p ** (n * n)} matrices"]
+    lines.extend(f"  #{m}: {_matrix_rows(M)}" for m, M in shown)
     if len(shown) < sols.size:
         lines.append(f"  ... {sols.size - len(shown)} more "
                      f"(raise --limit to see them)")
@@ -390,12 +402,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    source = _table(args, args.name)
-    table = _bind(source, _parse_params(args.param), require_bound=True)
-    kind = _make_kind(args)
-    if kind.name == "rota-baxter" and kind.weight.params():
-        raise UsageError("--weight must be a constant for finite-field work")
-    p = _field(args)
+    source, params, table, kind, p, sols = _sweep(args)
     fams = [f for f in _families_for(args, kind.name)
             if f.algebra == table.name and not f.malformed]
     verified = []
@@ -406,14 +413,13 @@ def cmd_coverage(args) -> int:
         except ExactError:
             continue
     fixed = {}
-    for name, value in _parse_params(args.param).items():
+    for name, value in params.items():
         try:
             fixed[name] = reduce_mod_p(value, p)
         except ExactError:
             continue
-    sols = _sharded_indices(args, table, kind, p)
-    rep = coverage(table, kind, p, verified, budget=args.budget,
-                   cap=args.cap, fixed=fixed or None, solutions=sols)
+    rep = coverage(table, kind, p, verified, solutions=sols,
+                   budget=args.budget, cap=args.cap, fixed=fixed or None)
     payload = rep.as_dict()
     lines = [f"{rep.algebra} {rep.kind} over F_{rep.p}: "
              f"{rep.covered} of {rep.total_solutions} solutions covered "
@@ -424,8 +430,7 @@ def cmd_coverage(args) -> int:
     for skip in rep.families_skipped:
         lines.append(f"  skipped {skip['family']}: {skip['reason']}")
     for M in rep.uncovered:
-        rows = "; ".join(" ".join(str(x) for x in row) for row in M.entries)
-        lines.append(f"  uncovered #{M.index()}: {rows}")
+        lines.append(f"  uncovered #{M.index()}: {_matrix_rows(M)}")
     if rep.total_solutions - rep.covered > len(rep.uncovered):
         lines.append(f"  ... uncovered list capped at {rep.cap}")
     _emit(args, payload, lines)

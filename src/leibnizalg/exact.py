@@ -76,9 +76,6 @@ class Scalar:
     def is_real(self) -> bool:
         return not self.im
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, Scalar):
@@ -187,10 +184,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(exp for _, exp in m)
-
-
 class Poly:
     """Sparse multivariate polynomial over Scalar; zero coefficients are dropped."""
 
@@ -240,12 +233,6 @@ class Poly:
             for name, _ in m:
                 names.add(name)
         return names
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
 
     def degree_in(self, names) -> int:
         """Total degree counting only the given names; -1 for zero."""
@@ -328,18 +315,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    def eval_scalars(self, env: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate with every parameter bound to a Scalar."""
-        total = SC_ZERO
-        for m, c in self.terms.items():
-            v = c
-            for name, exp in m:
-                if name not in env:
-                    raise KeyError(f"unbound parameter {name!r}")
-                v = v * (env[name] ** exp)
-            total = total + v
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

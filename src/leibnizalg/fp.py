@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -396,16 +396,21 @@ def _refuse_width(worst: int, dtype, path: str, p: int):
 
 def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
                  budget: int = DEFAULT_BUDGET, path: str = "compiled"):
-    """The mask function of a sweep, once every refusal has been made.
+    """The evaluation kernel of one sweep, built once, after every refusal.
 
-    Sweeps that exceed the budget, or whose integer kernel could overflow
-    at this p, are refused here, before any matrix is evaluated; a caller
-    that splits a sweep into shards calls this first to refuse early.
+    Every refusal of a sweep is made here, before any matrix is evaluated:
+    a field that is not a supported prime, an unbound table or weight, a
+    sweep past the budget, an integer kernel that could overflow at this p,
+    and an unknown path.  The kernel maps a digit block to the mask of its
+    solutions.  It is a partial of a module-level mask function, so it
+    pickles: a process pool sends this one kernel to every shard job.
     """
     _check_prime(p)
     if not table.is_bound():
         raise ValueError(f"{table.name} still has unbound parameters "
                          f"{table.param_names()}")
+    if kind.weight is not None and kind.weight.params():
+        raise ValueError("the weight must be bound for finite-field work")
     n = table.dim
     total = p ** (n * n)
     if total > budget:
@@ -416,19 +421,12 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
         cs = compile_system(table, kind, p)
         if p > 2:
             _refuse_width(cs.worst_intermediate(), np.int32, path, p)
-
-        def evaluate(digits):
-            return _compiled_mask(cs, digits)
-    elif path == "direct":
+        return partial(_compiled_mask, cs)
+    if path == "direct":
         if p > 2:
             _refuse_width(_direct_worst(n, p), np.int16, path, p)
-        cm = _table_mod_p(table, p)
-
-        def evaluate(digits):
-            return _direct_mask(cm, kind, digits, p, n)
-    else:
-        raise ValueError(f"unknown evaluation path {path!r}")
-    return evaluate
+        return partial(_direct_mask, _table_mod_p(table, p), kind, p=p, n=n)
+    raise ValueError(f"unknown evaluation path {path!r}")
 
 
 def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
@@ -437,12 +435,23 @@ def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
                      chunk: int = 1 << 14) -> np.ndarray:
     """Counter values of all solution matrices, ascending.
 
-    With shard set, only matrices whose first row encodes that value are
-    scanned; the p^n shards partition the full space.  Refusals are those
-    of sweep_kernel.
+    The kernel from sweep_kernel, which makes every refusal, run through
+    sweep_shard; shard has the meaning it has there.
     """
     evaluate = sweep_kernel(table, kind, p, budget=budget, path=path)
-    n = table.dim
+    return sweep_shard(evaluate, table.dim, p, shard, chunk)
+
+
+def sweep_shard(evaluate, n: int, p: int, shard: int | None = None,
+                chunk: int = 1 << 14) -> np.ndarray:
+    """Counter values, ascending, of the n x n matrices over F_p that the
+    kernel evaluate (from sweep_kernel) accepts.
+
+    This is the one block loop of every sweep.  With shard set, only the
+    matrices whose first row encodes that value are scanned; the p^n
+    shards partition the full space, so a pool can run one kernel over
+    all of them and merge the parts.
+    """
     total = p ** (n * n)
     if shard is None:
         blocks = (np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -459,16 +468,6 @@ def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
     if not hits:
         return np.array([], dtype=np.int64)
     return np.concatenate(hits)
-
-
-def sweep_shard(args):
-    """Worker entry point for one shard; picklable for process pools.
-
-    args = (table, kind, p, shard, budget, path) with the table bound.
-    """
-    table, kind, p, shard, budget, path = args
-    return solution_indices(table, kind, p, budget=budget, path=path,
-                            shard=shard).tolist()
 
 
 def lift_check(table: AlgebraTable, kind: OperatorKind, p: int, indices, *,
@@ -562,6 +561,34 @@ def _read_off(fam: OperatorFamily, M: FpMatrix) -> dict:
     return forced
 
 
+def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
+                  forced: dict | None = None, budget: int = 0,
+                  refusal: str = "", rng: random.Random | None = None):
+    """Counter values of the chart (None outside its domain) at the
+    assignments that take fixed's values mod p, then forced's.
+
+    Without rng the names left open run over all of F_p, and their p^k
+    cases are refused past the budget with refusal, formatted with p, k,
+    label and budget.  With rng they take fresh random values at each
+    point, without end.
+    """
+    assigned = {k: v % p for k, v in (fixed or {}).items() if k in fam.free}
+    for name, value in (forced or {}).items():
+        assigned.setdefault(name, value)
+    rest = [x for x in fam.free if x not in assigned]
+    if rng is not None:
+        combos = iter(lambda: [rng.randrange(p) for _ in rest], None)
+    elif p ** len(rest) > budget:
+        raise RefusedSize(refusal.format(p=p, k=len(rest), label=fam.label(),
+                                         budget=budget))
+    else:
+        combos = iter_product(range(p), repeat=len(rest))
+    for combo in combos:
+        assignment = dict(assigned)
+        assignment.update(zip(rest, combo))
+        yield _eval_chart(fam, p, assignment)
+
+
 def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
                      budget: int = DEFAULT_BUDGET, fixed: dict | None = None
                      ) -> bool:
@@ -573,26 +600,12 @@ def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
     """
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
-    n = len(M.entries)
-    if len(fam.chart) != n:
+    if len(fam.chart) != len(M.entries):
         raise ValueError("chart and matrix dimensions differ")
-    p = M.p
-    assigned = {k: v % p for k, v in (fixed or {}).items() if k in fam.free}
-    for name, value in _read_off(fam, M).items():
-        if name not in assigned:
-            assigned[name] = value
-    rest = [x for x in fam.free if x not in assigned]
-    if p ** len(rest) > budget:
-        raise RefusedSize(
-            f"membership fallback needs {p}^{len(rest)} cases for "
-            f"{fam.label()}, over the budget {budget}")
-    target = M.index()
-    for combo in iter_product(range(p), repeat=len(rest)):
-        assignment = dict(assigned)
-        assignment.update(zip(rest, combo))
-        if _eval_chart(fam, p, assignment) == target:
-            return True
-    return False
+    return M.index() in _chart_points(
+        fam, M.p, fixed, forced=_read_off(fam, M), budget=budget,
+        refusal="membership fallback needs {p}^{k} cases for {label}, "
+                "over the budget {budget}")
 
 
 def family_solution_set(fam: OperatorFamily, p: int, *,
@@ -602,19 +615,11 @@ def family_solution_set(fam: OperatorFamily, p: int, *,
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
-    assigned = {k: v % p for k, v in (fixed or {}).items() if k in fam.free}
-    rest = [x for x in fam.free if x not in assigned]
-    if p ** len(rest) > budget:
-        raise RefusedSize(
-            f"enumerating {p}^{len(rest)} assignments for {fam.label()} "
-            f"is over the budget {budget}")
-    points = set()
-    for combo in iter_product(range(p), repeat=len(rest)):
-        assignment = dict(assigned)
-        assignment.update(zip(rest, combo))
-        m = _eval_chart(fam, p, assignment)
-        if m is not None:
-            points.add(m)
+    points = set(_chart_points(
+        fam, p, fixed, budget=budget,
+        refusal="enumerating {p}^{k} assignments for {label} is over the "
+                "budget {budget}"))
+    points.discard(None)
     return points
 
 
@@ -622,18 +627,14 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
                     seed: int = 0, budget: int = DEFAULT_BUDGET,
                     fixed: dict | None = None) -> dict:
     """chart_membership must accept every point the chart itself produces."""
-    rng = random.Random(seed)
-    assigned = {k: v % p for k, v in (fixed or {}).items() if k in fam.free}
-    rest = [x for x in fam.free if x not in assigned]
-    if not rest:
-        samples = 1
+    points = _chart_points(fam, p, fixed, rng=random.Random(seed))
+    if set(fam.free) <= set(fixed or ()):
+        samples = 1   # nothing is left open, so there is only one point
     checked = 0
     attempts = 0
     while checked < samples and attempts < 50 * max(samples, 1):
         attempts += 1
-        assignment = dict(assigned)
-        assignment.update({x: rng.randrange(p) for x in rest})
-        m = _eval_chart(fam, p, assignment)
+        m = next(points)
         if m is None:
             continue
         M = FpMatrix.from_index(m, len(fam.chart), p)
@@ -680,21 +681,19 @@ class CoverageReport:
 
 
 def coverage(table: AlgebraTable, kind: OperatorKind, p: int, families, *,
-             budget: int = DEFAULT_BUDGET, cap: int = 32,
-             path: str = "compiled", fixed: dict | None = None,
-             solutions=None) -> CoverageReport:
-    """Sweep all solutions and test each against the given charts.
+             solutions, budget: int = DEFAULT_BUDGET, cap: int = 32,
+             fixed: dict | None = None) -> CoverageReport:
+    """Compare a sweep's solutions with the points the given charts reach.
 
-    families should be the verified (non-malformed) families for this
-    algebra and kind; charts must already match the table's binding, or
-    fixed must supply F_p values for bound table parameters appearing in
-    the charts.  A precomputed, ascending solution-index array (e.g. from
-    a sharded sweep) can be passed to skip the sweep.
+    solutions is the ascending array of solution counter values from
+    solution_indices (or a merged sharded sweep) for this table, kind and
+    p; coverage never sweeps.  families should be the verified
+    (non-malformed) families for this algebra and kind; charts must
+    already match the table's binding, or fixed must supply F_p values for
+    bound table parameters appearing in the charts.  budget bounds the
+    enumeration of each chart: a chart past it is skipped as RefusedSize.
     """
-    if solutions is None:
-        sols = solution_indices(table, kind, p, budget=budget, path=path)
-    else:
-        sols = np.asarray(solutions, dtype=np.int64)
+    sols = np.asarray(solutions, dtype=np.int64)
     solution_set = set(sols.tolist())
     used, skipped = [], []
     covered_points = set()

@@ -347,14 +347,6 @@ def _same_vanishing(con: RatExpr, den: Poly) -> bool:
     return True
 
 
-def load_all_families(path_dir: Path | None = None):
-    out = []
-    for kind in KIND_NAMES:
-        p = None if path_dir is None else path_dir / (kind.replace("-", "_") + ".json")
-        out.extend(load_families(kind, p))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # audit and dimension report
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output discipline, determinism."""
 
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -313,6 +314,66 @@ def test_enumerate_sharded_matches_single(capsys):
         sharded = run(capsys, *argv, "--shards", "2")
         assert single[0] == sharded[0] == 0
         assert single[1] == sharded[1]
+
+
+def test_enumerate_sharded_matches_single_over_odd_primes(capsys, tmp_path):
+    # a two-dimensional table keeps p^(n*n) small enough to sweep at p > 2
+    (tmp_path / "catalog.json").write_text(json.dumps(
+        [{"name": "T2", "dim": 2, "entries": [[1, 1, 2, "1"]]}]))
+    for op in (["--op", "nijenhuis", "--field", "3"],
+               ["--op", "rota-baxter", "--weight", "1", "--field", "5"]):
+        for path in ("compiled", "direct"):
+            argv = ["enumerate", "T2", *op, "--path", path, "--limit", "0",
+                    "--data-dir", str(tmp_path), "--format", "json"]
+            single = run(capsys, *argv, "--shards", "1")
+            sharded = run(capsys, *argv, "--shards", "2")
+            assert single[0] == sharded[0] == 0
+            assert single[1] == sharded[1]
+            assert json.loads(single[1])["count"] > 1
+
+
+def test_shards_below_one_is_usage_error(capsys):
+    for shards in ("0", "-3"):
+        code, _, err = run(capsys, "enumerate", "L1", "--op", "nijenhuis",
+                           "--shards", shards)
+        assert code == 2
+        assert "--shards" in err
+
+
+def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the requested size and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    compiled = []
+    compile_system = fp.compile_system
+
+    def counted(*args):
+        compiled.append(args)
+        return compile_system(*args)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(fp, "compile_system", counted)
+    argv = ["enumerate", "L1", "--op", "nijenhuis", "--limit", "0",
+            "--format", "json"]
+    single = run(capsys, *argv, "--shards", "1")
+    assert sizes == [] and len(compiled) == 1
+    huge = run(capsys, *argv, "--shards", "100000")
+    assert sizes == [min(16, os.cpu_count() or 1)]
+    assert len(compiled) == 2   # once per sweep, not once per shard
+    assert huge == single
 
 
 def test_coverage_reports_charts(capsys):

@@ -59,15 +59,7 @@ class TestPoly:
         x = Poly.var("x")
         y = Poly.var("y")
         p = x * x * y + y
-        assert p.degree() == 3
         assert p.degree_in({"x"}) == 2
-        assert Poly.zero().degree() == -1
-
-    def test_eval_scalars(self):
-        p = Poly.var("x") * Poly.var("x") + Poly.const(3)
-        assert p.eval_scalars({"x": Scalar(2)}) == Scalar(7)
-        with pytest.raises(KeyError):
-            p.eval_scalars({})
 
 
 class TestRatExpr:
@@ -79,7 +71,7 @@ class TestRatExpr:
     def test_unreduced_representation_kept(self):
         x = RatExpr.var("x")
         q = (x * x) / x
-        assert q.num.degree() == 2  # numerator was not cancelled
+        assert q.num.degree_in({"x"}) == 2  # numerator was not cancelled
 
     def test_constant_denominator_folds(self):
         q = R("x/2")

@@ -1,6 +1,7 @@
 """Tests for the finite-field brute-force oracle."""
 
 import dataclasses
+import pickle
 import time
 
 import numpy as np
@@ -23,7 +24,6 @@ from leibnizalg.exact import (
 )
 from leibnizalg.fp import (
     CoverageReport,
-    DEFAULT_BUDGET,
     FpMatrix,
     RefusedSize,
     bind_family,
@@ -34,12 +34,13 @@ from leibnizalg.fp import (
     lift_check,
     roundtrip_check,
     solution_indices,
+    sweep_kernel,
     sweep_shard,
 )
 from leibnizalg.operators import (
     KIND_NAMES,
     OperatorFamily,
-    load_all_families,
+    load_families,
     make_kind,
     verify_family,
 )
@@ -52,7 +53,7 @@ def cmap():
 
 @pytest.fixture(scope="module")
 def families():
-    return load_all_families()
+    return [f for kind in KIND_NAMES for f in load_families(kind)]
 
 
 @pytest.fixture(scope="module")
@@ -143,22 +144,34 @@ def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
 
 
 def test_sweep_shard_worker_matches_inline(cmap, l1_nij_solutions):
-    got = []
-    for s in range(16):
-        got.extend(sweep_shard((cmap["L1"], make_kind("nijenhuis"), 2, s,
-                                DEFAULT_BUDGET, "compiled")))
-    assert sorted(got) == l1_nij_solutions.tolist()
+    evaluate = sweep_kernel(cmap["L1"], make_kind("nijenhuis"), 2)
+    got = np.concatenate([sweep_shard(evaluate, 4, 2, s) for s in range(16)])
+    assert np.sort(got).tolist() == l1_nij_solutions.tolist()
+    assert sweep_shard(evaluate, 4, 2).tolist() == l1_nij_solutions.tolist()
 
 
 def test_sweep_shard_worker_sweeps_bound_table(cmap):
     table = bind_params(cmap["L4"], {"mu": RatExpr.const(1)})
     kind = make_kind("averaging")
     want = solution_indices(table, kind, 2).tolist()
-    got = []
-    for s in range(16):
-        got.extend(sweep_shard((table, kind, 2, s, DEFAULT_BUDGET,
-                                "direct")))
-    assert sorted(got) == want
+    evaluate = sweep_kernel(table, kind, 2, path="direct")
+    got = np.concatenate([sweep_shard(evaluate, 4, 2, s) for s in range(16)])
+    assert np.sort(got).tolist() == want
+
+
+@pytest.mark.parametrize("path", ["compiled", "direct"])
+def test_pickled_kernel_sweeps_without_recompiling(cmap, monkeypatch, path):
+    # what a shard job receives: the kernel, built and pickled once
+    kind = make_kind("rota-baxter", RatExpr.const(1))
+    want = solution_indices(cmap["L6"], kind, 2, path=path).tolist()
+    evaluate = pickle.loads(pickle.dumps(sweep_kernel(cmap["L6"], kind, 2,
+                                                      path=path)))
+
+    def compiled_again(*args):
+        raise AssertionError("a shard compiled the system again")
+    monkeypatch.setattr(fp, "compile_system", compiled_again)
+    got = np.concatenate([sweep_shard(evaluate, 4, 2, s) for s in range(16)])
+    assert np.sort(got).tolist() == want
 
 
 def test_budget_refusals(cmap):
@@ -178,6 +191,10 @@ def test_sweep_rejects_unbound_table_and_bad_flags(cmap):
         solution_indices(cmap["L1"], make_kind("nijenhuis"), 2, shard=16)
     with pytest.raises(ValueError):
         solution_indices(cmap["L1"], make_kind("nijenhuis"), 4)
+    symbolic = make_kind("rota-baxter", RatExpr.var("w"))
+    for path in ("compiled", "direct"):
+        with pytest.raises(ValueError):
+            sweep_kernel(cmap["L1"], symbolic, 2, path=path)
 
 
 def test_nonreducible_tables_are_rejected(cmap):
@@ -469,9 +486,10 @@ def _verified(cmap, families, algebra, kname):
     return picked
 
 
-def test_coverage_report_structure(cmap, families):
+def test_coverage_report_structure(cmap, families, l1_nij_solutions):
     fams = _verified(cmap, families, "L1", "nijenhuis")
-    rep = coverage(cmap["L1"], make_kind("nijenhuis"), 2, fams)
+    rep = coverage(cmap["L1"], make_kind("nijenhuis"), 2, fams,
+                   solutions=l1_nij_solutions)
     assert isinstance(rep, CoverageReport)
     assert rep.total_solutions == 128
     assert 0 <= rep.covered <= rep.total_solutions
@@ -485,17 +503,21 @@ def test_coverage_report_structure(cmap, families):
 
 def test_coverage_is_order_invariant_and_deterministic(cmap, families):
     fams = _verified(cmap, families, "L17", "nijenhuis")
-    a = coverage(cmap["L17"], make_kind("nijenhuis"), 2, fams)
-    b = coverage(cmap["L17"], make_kind("nijenhuis"), 2, fams[::-1])
+    kind = make_kind("nijenhuis")
+    sols = solution_indices(cmap["L17"], kind, 2)
+    a = coverage(cmap["L17"], kind, 2, fams, solutions=sols)
+    b = coverage(cmap["L17"], kind, 2, fams[::-1], solutions=sols)
     assert a.covered == b.covered
     assert a.total_solutions == b.total_solutions
     assert {m.index() for m in a.uncovered} == {m.index() for m in b.uncovered}
-    again = coverage(cmap["L17"], make_kind("nijenhuis"), 2, fams)
+    again = coverage(cmap["L17"], kind, 2, fams, solutions=sols)
     assert again.as_dict() == a.as_dict()
 
 
 def test_coverage_without_families(cmap):
-    rep = coverage(cmap["L1"], make_kind("reynolds"), 2, [], cap=8)
+    kind = make_kind("reynolds")
+    rep = coverage(cmap["L1"], kind, 2, [], cap=8,
+                   solutions=solution_indices(cmap["L1"], kind, 2))
     assert rep.covered == 0
     assert len(rep.uncovered) == min(rep.total_solutions, 8)
 
@@ -504,18 +526,32 @@ def test_coverage_skips_charts_with_imaginary_entries(cmap, families):
     table = bind_params(cmap["L14"], {"mu": RatExpr.const(0)})
     fams = _verified(cmap, families, "L14", "rota-baxter")
     assert fams, "expected verified charts here"
-    rep = coverage(table, make_kind("rota-baxter"), 2, fams,
-                   fixed={"mu": 0})
+    kind = make_kind("rota-baxter")
+    rep = coverage(table, kind, 2, fams, fixed={"mu": 0},
+                   solutions=solution_indices(table, kind, 2))
     reasons = {s["reason"] for s in rep.families_skipped}
     assert "NonRealValue" in reasons
 
 
-def test_coverage_rejects_foreign_family(cmap, families):
+def test_coverage_rejects_foreign_family(cmap, families, l1_nij_solutions):
     fams = _verified(cmap, families, "L2", "nijenhuis")
     with pytest.raises(ValueError):
-        coverage(cmap["L1"], make_kind("nijenhuis"), 2, fams)
+        coverage(cmap["L1"], make_kind("nijenhuis"), 2, fams,
+                 solutions=l1_nij_solutions)
 
 
-def test_coverage_propagates_budget(cmap):
-    with pytest.raises(RefusedSize):
-        coverage(cmap["L1"], make_kind("nijenhuis"), 2, [], budget=100)
+def test_coverage_propagates_budget(cmap, families):
+    # the budget bounds each chart's enumeration: a chart with more F_2
+    # assignments than the budget is skipped, and the others are still used
+    kind = make_kind("rota-baxter")
+    fams = _verified(cmap, families, "L1", "rota-baxter")
+    sizes = {f.label(): 2 ** len(f.free) for f in fams}
+    budget = min(sizes.values())
+    assert max(sizes.values()) > budget
+    rep = coverage(cmap["L1"], kind, 2, fams, budget=budget,
+                   solutions=solution_indices(cmap["L1"], kind, 2))
+    skipped = {s["family"] for s in rep.families_skipped
+               if s["reason"] == "RefusedSize"}
+    assert skipped == {label for label, n in sizes.items() if n > budget}
+    assert {u["family"] for u in rep.families_used} \
+        == set(sizes) - skipped
