@@ -26,25 +26,39 @@ monomials with odd coefficient into each equation; the direct path runs its
 contractions as AND/XOR over planes and still reads only the structure
 constants mod 2.  For p > 2 the integer kernels are used; a sweep is refused
 when the worst case of their intermediates does not fit their dtype.
+
+Charts are evaluated with plain Python ints.  On first use at a prime p, a
+family's chart is compiled once: the numerator and denominator of every
+constraint and nonzero entry become Gaussian-integer terms over the free
+names with a positive common-denominator scale, every entry carries its
+counter weight p^(r*n+c), and the entries a parameter stands alone in are
+noted for reading that parameter off a matrix.  The compiled form is kept
+on the family, one per prime.  At a point the value a/b (b > 0) is decided
+over Q exactly as RatExpr.substitute and reduce_mod_p decide it: a vanishing
+denominator or a denominator that p still divides in lowest terms puts the
+point outside the chart, and a nonzero imaginary part raises NonRealValue.
+Ints are unbounded, so no width guard is needed at any prime.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product as iter_product
+from math import gcd, lcm
 
 import numpy as np
 
 from .algebra import AlgebraTable
 from .exact import (
-    DenominatorVanishes,
     ExactError,
     NonInvertibleDenominator,
     NonRealValue,
     Poly,
     RatExpr,
+    Scalar,
     reduce_mod_p,
 )
 from .operators import OperatorFamily, OperatorKind, build_system, \
@@ -510,72 +524,165 @@ def bind_family(fam: OperatorFamily, bindings: dict) -> OperatorFamily:
                           constraints, False, fam.weight, None, fam.note)
 
 
-def _eval_chart(fam: OperatorFamily, p: int, assignment: dict):
-    """Counter value of the chart at an F_p assignment, or None if the
-    point is outside the chart's domain (a constraint or denominator dies)."""
-    sub = {name: RatExpr.const(v) for name, v in assignment.items()}
-    for con in fam.constraints:
-        try:
-            if reduce_mod_p(con.substitute(sub), p) == 0:
-                return None
-        except (DenominatorVanishes, NonInvertibleDenominator):
-            return None
+@dataclass(frozen=True)
+class _ChartForm:
+    """A chart compiled for evaluation over F_p with plain ints.
+
+    Each expression is (num, num_scale, den, den_scale): num and den are
+    tuples of Gaussian-integer terms (re, im, ((slot, exp), ...)) over the
+    slots of fam.free, and the expression is
+    (num / num_scale) / (den / den_scale) with positive scales; den is
+    None when the denominator is 1.  entries holds (p^(r*n+c), expression)
+    for the nonzero entries in row-major order.  read_off holds (r, c,
+    slot, inverse of the scale mod p) for the first entry in which each
+    parameter stands alone with a coefficient that is a unit mod p.
+    """
+
+    p: int
+    slots: dict
+    constraints: tuple
+    entries: tuple
+    read_off: tuple
+
+
+def _int_terms(poly: Poly, slots: dict, label: str) -> tuple:
+    """(terms, scale) with poly = sum of the terms / scale, scale > 0."""
+    scale = 1
+    for c in poly.terms.values():
+        scale = lcm(scale, c.re.denominator, c.im.denominator)
+    terms = []
+    for mono, c in poly.terms.items():
+        stray = [name for name, _ in mono if name not in slots]
+        if stray:
+            raise ValueError(f"{label}: parameters {stray} are not free")
+        terms.append((int(c.re * scale), int(c.im * scale),
+                      tuple((slots[name], exp) for name, exp in mono)))
+    return tuple(terms), scale
+
+
+def _int_expr(e: RatExpr, slots: dict, label: str) -> tuple:
+    num, num_scale = _int_terms(e.num, slots, label)
+    if e.den.is_const:   # a constant denominator is always 1 in a RatExpr
+        return num, num_scale, None, 1
+    return (num, num_scale) + _int_terms(e.den, slots, label)
+
+
+def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
+    label = fam.label()
+    slots = {name: s for s, name in enumerate(fam.free)}
     n = len(fam.chart)
-    m = 0
+    entries, read_off, seen = [], [], set()
     for r in range(n):
         for c in range(n):
             e = fam.chart[r][c]
             if e.is_zero:
                 continue
-            try:
-                v = reduce_mod_p(e.substitute(sub), p)
-            except (DenominatorVanishes, NonInvertibleDenominator):
-                return None
-            m += v * p ** (r * n + c)
-    return m
-
-
-def _read_off(fam: OperatorFamily, M: FpMatrix) -> dict:
-    """Parameter values forced by entries where a parameter stands alone."""
-    p = M.p
-    n = len(M.entries)
-    forced = {}
-    for r in range(n):
-        for c in range(n):
-            e = fam.chart[r][c]
+            entries.append((p ** (r * n + c), _int_expr(e, slots, label)))
             if not e.den.is_const or len(e.num.terms) != 1:
                 continue
             (mono, coef), = e.num.terms.items()
-            if len(mono) != 1 or mono[0][1] != 1:
+            if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] in seen:
                 continue
-            name = mono[0][0]
-            if name in forced:
+            f = coef.re
+            if coef.im or f.denominator % p == 0 or f.numerator % p == 0:
                 continue
-            try:
-                scale = reduce_mod_p(RatExpr(Poly.const(coef), e.den), p)
-            except (NonInvertibleDenominator, NonRealValue):
-                continue
-            if scale == 0:
-                continue
-            forced[name] = (M.entries[r][c] * pow(scale, -1, p)) % p
-    return forced
+            seen.add(mono[0][0])
+            scale = f.numerator * pow(f.denominator, -1, p)
+            read_off.append((r, c, slots[mono[0][0]], pow(scale, -1, p)))
+    constraints = tuple(_int_expr(con, slots, label)
+                        for con in fam.constraints)
+    return _ChartForm(p, slots, constraints, tuple(entries), tuple(read_off))
+
+
+def _chart_form(fam: OperatorFamily, p: int) -> _ChartForm:
+    """The family's chart compiled for F_p, built once per prime."""
+    form = fam._chart_forms.get(p)
+    if form is None:
+        form = fam._chart_forms[p] = _compile_chart(fam, p)
+    return form
+
+
+def _int_value(terms: tuple, values) -> tuple:
+    re = im = 0
+    for a, b, mono in terms:
+        v = 1
+        for slot, exp in mono:
+            v *= values[slot] ** exp
+        re += a * v
+        im += b * v
+    return re, im
+
+
+def _expr_mod_p(expr: tuple, values, p: int):
+    """An expression's value in F_p at integer slot values, or None where it
+    has no value there: its denominator vanishes, or p divides the
+    denominator of its value in lowest terms.  A value off the real line
+    raises NonRealValue; realness is decided over Q."""
+    num, num_scale, den, den_scale = expr
+    nre, nim = _int_value(num, values)
+    if den is None:
+        if nim:
+            raise _non_real(nre, nim, num_scale, p)
+        a, b = nre, num_scale
+    else:
+        dre, dim = _int_value(den, values)
+        if not dre and not dim:
+            return None
+        im = (nim * dre - nre * dim) * den_scale
+        b = (dre * dre + dim * dim) * num_scale
+        a = (nre * dre + nim * dim) * den_scale
+        if im:
+            raise _non_real(a, im, b, p)
+    if b % p == 0:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b % p == 0:
+            return None
+    return a * pow(b, -1, p) % p
+
+
+def _non_real(re: int, im: int, den: int, p: int) -> NonRealValue:
+    v = Scalar(Fraction(re, den), Fraction(im, den))
+    return NonRealValue(f"cannot reduce {v} mod {p}: nonzero imaginary part")
+
+
+def _eval_chart(form: _ChartForm, values):
+    """Counter value of the chart at F_p slot values, or None if the point
+    is outside the chart's domain (a constraint or denominator dies)."""
+    p = form.p
+    for con in form.constraints:
+        if not _expr_mod_p(con, values, p):
+            return None
+    m = 0
+    for weight, expr in form.entries:
+        v = _expr_mod_p(expr, values, p)
+        if v is None:
+            return None
+        m += v * weight
+    return m
 
 
 def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
                   forced: dict | None = None, budget: int = 0,
                   refusal: str = "", rng: random.Random | None = None):
     """Counter values of the chart (None outside its domain) at the
-    assignments that take fixed's values mod p, then forced's.
+    assignments that take fixed's values mod p, then forced's (keyed by
+    slot).
 
     Without rng the names left open run over all of F_p, and their p^k
     cases are refused past the budget with refusal, formatted with p, k,
     label and budget.  With rng they take fresh random values at each
     point, without end.
     """
-    assigned = {k: v % p for k, v in (fixed or {}).items() if k in fam.free}
-    for name, value in (forced or {}).items():
-        assigned.setdefault(name, value)
-    rest = [x for x in fam.free if x not in assigned]
+    form = _chart_form(fam, p)
+    values = [None] * len(fam.free)
+    for name, value in (fixed or {}).items():
+        if name in form.slots:
+            values[form.slots[name]] = value % p
+    for slot, value in (forced or {}).items():
+        if values[slot] is None:
+            values[slot] = value
+    rest = [s for s, v in enumerate(values) if v is None]
     if rng is not None:
         combos = iter(lambda: [rng.randrange(p) for _ in rest], None)
     elif p ** len(rest) > budget:
@@ -584,9 +691,9 @@ def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
     else:
         combos = iter_product(range(p), repeat=len(rest))
     for combo in combos:
-        assignment = dict(assigned)
-        assignment.update(zip(rest, combo))
-        yield _eval_chart(fam, p, assignment)
+        for slot, value in zip(rest, combo):
+            values[slot] = value
+        yield _eval_chart(form, values)
 
 
 def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
@@ -602,8 +709,11 @@ def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
         raise ValueError(f"{fam.label()} is malformed")
     if len(fam.chart) != len(M.entries):
         raise ValueError("chart and matrix dimensions differ")
+    p = M.p
+    forced = {slot: M.entries[r][c] * inv % p
+              for r, c, slot, inv in _chart_form(fam, p).read_off}
     return M.index() in _chart_points(
-        fam, M.p, fixed, forced=_read_off(fam, M), budget=budget,
+        fam, p, fixed, forced=forced, budget=budget,
         refusal="membership fallback needs {p}^{k} cases for {label}, "
                 "over the budget {budget}")
 
@@ -627,6 +737,9 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
                     seed: int = 0, budget: int = DEFAULT_BUDGET,
                     fixed: dict | None = None) -> dict:
     """chart_membership must accept every point the chart itself produces."""
+    if fam.chart is None:
+        raise ValueError(f"{fam.label()} is malformed")
+    _check_prime(p)
     points = _chart_points(fam, p, fixed, rng=random.Random(seed))
     if set(fam.free) <= set(fixed or ()):
         samples = 1   # nothing is left open, so there is only one point

@@ -21,7 +21,7 @@ iff every coordinate carrying it vanishes identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import AlgebraTable, CatalogError, ResidualTensor, data_dir, \
@@ -191,6 +191,9 @@ class OperatorFamily:
     weight: str | None = None
     raw_rows: list | None = None
     note: str = ""
+    # fp's integer form of the chart, one per prime, built on first use
+    _chart_forms: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def label(self) -> str:
         return f"{self.algebra} {self.kind} #{self.index}"

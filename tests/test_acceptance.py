@@ -281,8 +281,8 @@ def test_criterion_6_coverage_and_roundtrip(capsys):
                 skipped_charts += 1
                 continue
             roundtrips += 1
-            if not r["ok"]:
-                problems.append((fam.label(), "roundtrip",
+            if not r["ok"] or r["checked"] != 100:
+                problems.append((fam.label(), "roundtrip", r["checked"],
                                  r["counterexample"]))
     elapsed = time.time() - t0
     ok = (not problems and outside == 0 and total > 0

@@ -2,7 +2,9 @@
 
 import dataclasses
 import pickle
+import random
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,10 +19,14 @@ from leibnizalg.algebra import (
     sample_bindings,
 )
 from leibnizalg.exact import (
+    DenominatorVanishes,
     NonInvertibleDenominator,
     NonRealValue,
+    Poly,
     RatExpr,
+    Scalar,
     parse_expr,
+    reduce_mod_p,
 )
 from leibnizalg.fp import (
     CoverageReport,
@@ -468,6 +474,206 @@ def test_roundtrip_membership(cmap, family_index):
         out = roundtrip_check(fam, 2, samples=25)
         assert out["ok"], out
         assert out["checked"] > 0
+
+
+@pytest.mark.parametrize("check", [roundtrip_check, family_solution_set])
+def test_chart_checks_refuse_malformed_family(family_index, check):
+    fam = family_index[("L1", "rota-baxter", 5)]
+    assert fam.malformed
+    with pytest.raises(ValueError, match="malformed"):
+        check(fam, 2)
+
+
+@pytest.mark.parametrize("check", [roundtrip_check, family_solution_set])
+@pytest.mark.parametrize("p", [1, 4, 0, -3])
+def test_chart_checks_refuse_non_fields_before_any_point(family_index,
+                                                        monkeypatch, check,
+                                                        p):
+    def no_point(*args):
+        raise AssertionError("a chart point was evaluated")
+
+    monkeypatch.setattr(fp, "_eval_chart", no_point)
+    fam = family_index[("L1", "rota-baxter", 1)]
+    with pytest.raises(ValueError, match="not a prime"):
+        check(fam, p)
+
+
+# ---------------------------------------------------------------------------
+# compiled chart evaluation against the exact reference
+
+def _oracle(e, p, assignment):
+    """Value of e mod p at the assignment through exact arithmetic, None
+    where it has none."""
+    sub = {name: RatExpr.const(v) for name, v in assignment.items()}
+    try:
+        return reduce_mod_p(e.substitute(sub), p)
+    except (DenominatorVanishes, NonInvertibleDenominator):
+        return None
+
+
+def _oracle_points(fam, p):
+    """Every point of the chart over F_p, through exact arithmetic: the
+    constraints first, then the entries in row-major order, and the first
+    value that is zero (constraint) or missing (any) drops the point."""
+    n = len(fam.chart)
+    exprs = [(None, con) for con in fam.constraints]
+    exprs += [(p ** (r * n + c), fam.chart[r][c])
+              for r in range(n) for c in range(n)
+              if not fam.chart[r][c].is_zero]
+    names = [sorted(e.params()) for _, e in exprs]
+    memo = {}   # a value depends only on the names its expression uses
+
+    def value(k, assignment):
+        key = (k,) + tuple(assignment[x] for x in names[k])
+        if key not in memo:
+            memo[key] = _oracle(exprs[k][1], p, assignment)
+        return memo[key]
+
+    points = set()
+    for combo in product(range(p), repeat=len(fam.free)):
+        assignment = dict(zip(fam.free, combo))
+        m = 0
+        for k, (weight, _) in enumerate(exprs):
+            v = value(k, assignment)
+            if v is None or (weight is None and v == 0):
+                break
+            m += 0 if weight is None else v * weight
+        else:
+            points.add(m)
+    return points
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonRealValue:
+        return "NonRealValue"
+
+
+def _at(fam, p, assignment):
+    """The compiled chart at one point, through the public API."""
+    points = family_solution_set(fam, p, fixed=assignment)
+    return points.pop() if points else None
+
+
+def _one_by_one(e, *, constraint=False):
+    chart = [[parse_expr("1") if constraint else e]]
+    return OperatorFamily("T", "nijenhuis", 1, chart, ("x", "y", "z"),
+                          (e,) if constraint else (), False)
+
+
+_gauss = st.builds(Scalar,
+                   st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def _polys(draw):
+    poly = Poly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = Poly.const(1)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            mono = mono * Poly.var(draw(st.sampled_from("xyz")))
+        poly = poly + mono.scale(draw(_gauss))
+    return poly
+
+
+@st.composite
+def _chart_exprs(draw):
+    """Gaussian-rational quotients; most denominators are not constant."""
+    num = draw(_polys())
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return RatExpr(num, Poly.const(draw(_gauss.filter(bool))))
+    den = draw(_polys())
+    if den.is_const:
+        den = den + Poly.var(draw(st.sampled_from("xyz")))
+    return RatExpr(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chart_exprs(), st.sampled_from([2, 3, 5]))
+def test_compiled_expression_matches_exact_reference(e, p):
+    entry, con = _one_by_one(e), _one_by_one(e, constraint=True)
+    for combo in product(range(p), repeat=3):
+        assignment = dict(zip("xyz", combo))
+        want = _outcome(lambda: _oracle(e, p, assignment))
+        assert _outcome(lambda: _at(entry, p, assignment)) == want
+        want_con = want if isinstance(want, str) else (1 if want else None)
+        assert _outcome(lambda: _at(con, p, assignment)) == want_con
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_l1_charts_match_exact_reference(family_index, p):
+    rng = random.Random(p)
+    for (algebra, _, _), fam in sorted(family_index.items()):
+        if algebra != "L1" or fam.malformed:
+            continue
+        want = _oracle_points(fam, p)
+        assert family_solution_set(fam, p) == want, fam.label()
+        n = len(fam.chart)
+        for m in rng.sample(sorted(want), min(len(want), 12)):
+            M = FpMatrix.from_index(m, n, p)
+            assert chart_membership(fam, M), (fam.label(), m)
+            rows = [list(row) for row in M.entries]
+            r, c = rng.randrange(n), rng.randrange(n)
+            rows[r][c] = (rows[r][c] + 1) % p
+            near = FpMatrix(p, tuple(map(tuple, rows)))
+            assert chart_membership(fam, near) == (near.index() in want), \
+                (fam.label(), near.index())
+
+
+def test_denominator_divisible_by_p_that_cancels_is_admissible():
+    fam = _one_by_one(parse_expr("(2*x)/(2*y)"))
+    assert _at(fam, 2, {"x": 1, "y": 1, "z": 0}) == 1
+    assert _at(fam, 2, {"x": 1, "y": 0, "z": 0}) is None
+
+
+def test_constant_denominator_divisible_by_p():
+    fam = _one_by_one(parse_expr("x/2"))
+    assert _at(fam, 2, {"x": 0, "y": 0, "z": 0}) == 0
+    assert _at(fam, 2, {"x": 1, "y": 0, "z": 0}) is None
+    assert _at(fam, 3, {"x": 1, "y": 0, "z": 0}) == 2
+
+
+def test_realness_is_decided_at_each_point():
+    fam = _one_by_one(parse_expr("i*x"))
+    assert _at(fam, 2, {"x": 0, "y": 0, "z": 0}) == 0
+    with pytest.raises(NonRealValue):
+        _at(fam, 2, {"x": 1, "y": 0, "z": 0})
+
+
+def test_first_inadmissible_value_wins_over_a_later_non_real_one():
+    rows = [["x/2", "i*x"], ["0", "0"]]
+    fam = OperatorFamily("T", "nijenhuis", 1,
+                         [[parse_expr(e) for e in row] for row in rows],
+                         ("x",), (), False)
+    assert family_solution_set(fam, 2, fixed={"x": 1}) == set()
+    with pytest.raises(NonRealValue):
+        family_solution_set(fam, 3, fixed={"x": 1})
+    vanishing = OperatorFamily("T", "nijenhuis", 2, [[parse_expr("i")]],
+                               ("x",), (parse_expr("x"),), False)
+    assert family_solution_set(vanishing, 2, fixed={"x": 0}) == set()
+    with pytest.raises(NonRealValue):
+        family_solution_set(vanishing, 2, fixed={"x": 1})
+
+
+def test_compiled_chart_is_kept_per_prime(family_index):
+    fam = dataclasses.replace(family_index[("L1", "nijenhuis", 2)])
+    for p in (2, 3, 2):
+        assert family_solution_set(fam, p) == _oracle_points(fam, p)
+    assert sorted(fam._chart_forms) == [2, 3]
+
+
+def test_bound_family_compiles_its_own_chart():
+    chart = [[parse_expr("mu*b11"), parse_expr("0")],
+             [parse_expr("0"), parse_expr("b11/mu")]]
+    fam = OperatorFamily("demo", "averaging", 1, chart, ("b11", "mu"),
+                         (parse_expr("mu"),), False)
+    assert family_solution_set(fam, 3) == _oracle_points(fam, 3)
+    bound = bind_family(fam, {"mu": 2})
+    assert bound._chart_forms == {}
+    assert family_solution_set(bound, 3) == _oracle_points(bound, 3) \
+        == {0, 2 + 2 * 27, 1 + 27}
 
 
 # ---------------------------------------------------------------------------
