@@ -12,6 +12,14 @@ the algebra product, not a commutator.
 ResidualTensor is the one residual type of the package: the Leibniz
 residual above, the mixed residual of two brackets (compat) and the
 operator residuals (operators) are all read through its labelled walk.
+
+Catalog tables are sparse (a few nonzero constants out of dim^3), so the
+residuals are contractions over the nonzero constants only: a bracket
+with a basis vector, [e_a, v] or [u, e_b], runs over the table's nonzero
+entries with that first or second index (AlgebraTable.e_bracket and
+bracket_e).  Each coordinate is summed in ascending contracted index, the
+order of the dense bracket, so the unreduced text of every residual
+coordinate, and with it every witness, is the dense bracket's.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .exact import (
     ExactError,
     ExprSyntaxError,
     RatExpr,
-    RE_ONE,
     RE_ZERO,
     Scalar,
     SC_ZERO,
@@ -85,7 +92,8 @@ class ParamSpec:
 class AlgebraTable:
     """An n-dimensional algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "c", "params", "_nonzero")
+    __slots__ = ("name", "dim", "c", "params", "_nonzero", "_left",
+                 "_right")
 
     def __init__(self, name: str, dim: int, c, params=()):
         self.name = name
@@ -97,6 +105,13 @@ class AlgebraTable:
             for i in range(dim) for j in range(dim) for k in range(dim)
             if not self.c[i][j][k].is_zero
         )
+        # the nonzero entries by index: _left[a] holds (b, q, val) and
+        # _right[b] holds (a, q, val) for [e_a, e_b] = ... + val e_q, both
+        # in the lexicographic order of _nonzero
+        self._left = tuple(tuple((j, k, val) for i, j, k, val in self._nonzero
+                                 if i == a) for a in range(dim))
+        self._right = tuple(tuple((i, k, val) for i, j, k, val in self._nonzero
+                                  if j == b) for b in range(dim))
 
     def param_names(self):
         return [p.name for p in self.params]
@@ -115,9 +130,27 @@ class AlgebraTable:
             out[k] = out[k] + ui * vj * val
         return out
 
-    def product(self, i: int, j: int):
-        """Coefficient vector of bracket(e_i, e_j); 0-based indices."""
-        return list(self.c[i][j])
+    def e_bracket(self, a: int, v):
+        """[e_a, v] for a coefficient vector v; 0-based index."""
+        return _contract(self._left[a], v, self.dim)
+
+    def bracket_e(self, u, b: int):
+        """[u, e_b] for a coefficient vector u; 0-based index."""
+        return _contract(self._right[b], u, self.dim)
+
+
+def _contract(nonzero, vec, n: int):
+    """The vector sum of vec[t] * val e_q over (t, q, val) in nonzero.
+
+    Each coordinate is summed in ascending t, the order bracket takes, so
+    the unreduced text of a sum is the same as bracket's with a unit vector.
+    """
+    out = [RE_ZERO] * n
+    for t, q, val in nonzero:
+        x = vec[t]
+        if not x.is_zero:
+            out[q] = out[q] + x * val
+    return out
 
 
 def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
@@ -153,11 +186,6 @@ def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
         sub[p.name] = value
     c = [[[e.substitute(sub) for e in row] for row in plane] for plane in table.c]
     return AlgebraTable(table.name, table.dim, c, new_params)
-
-
-def unit(n: int, i: int):
-    """Coefficient vector of the basis element e_i (0-based)."""
-    return [RE_ONE if q == i else RE_ZERO for q in range(n)]
 
 
 class ResidualTensor:
@@ -208,7 +236,7 @@ class ResidualTensor:
 
     @property
     def is_zero(self) -> bool:
-        return self.first_failure() is None
+        return all(v.is_zero for vec in self.entries.values() for v in vec)
 
     def holds(self, condition) -> bool:
         """Whether every coordinate of the named condition vanishes."""
@@ -217,12 +245,12 @@ class ResidualTensor:
 
 def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
     """R(e_i,e_j,e_k) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]."""
-    n = table.dim
+    n, c = table.dim, table.c
 
     def coords(i, j, k):
-        t1 = table.bracket(unit(n, i), table.product(j, k))
-        t2 = table.bracket(table.product(i, j), unit(n, k))
-        t3 = table.bracket(table.product(i, k), unit(n, j))
+        t1 = table.e_bracket(i, c[j][k])
+        t2 = table.bracket_e(c[i][j], k)
+        t3 = table.bracket_e(c[i][k], j)
         return [t1[q] - t2[q] + t3[q] for q in range(n)]
 
     return ResidualTensor.tabulate(n, 3, coords)

@@ -30,7 +30,6 @@ from .algebra import (
     data_dir,
     leibniz_residual,
     sample_bindings,
-    unit,
 )
 from .exact import RatExpr
 
@@ -43,15 +42,15 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
     Leibniz for all coefficients (given that both brackets already are)."""
     if a.dim != b.dim:
         raise ValueError("tables have different dimensions")
-    n = a.dim
+    n, ca, cb = a.dim, a.c, b.c
 
     def coords(i, j, k):
-        t1 = b.bracket(unit(n, i), a.product(j, k))
-        t2 = a.bracket(unit(n, i), b.product(j, k))
-        t3 = b.bracket(a.product(i, j), unit(n, k))
-        t4 = a.bracket(b.product(i, j), unit(n, k))
-        t5 = b.bracket(a.product(i, k), unit(n, j))
-        t6 = a.bracket(b.product(i, k), unit(n, j))
+        t1 = b.e_bracket(i, ca[j][k])
+        t2 = a.e_bracket(i, cb[j][k])
+        t3 = b.bracket_e(ca[i][j], k)
+        t4 = a.bracket_e(cb[i][j], k)
+        t5 = b.bracket_e(ca[i][k], j)
+        t6 = a.bracket_e(cb[i][k], j)
         return [t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
                 for q in range(n)]
 
@@ -76,13 +75,24 @@ def _disjoin_params(a: AlgebraTable, b: AlgebraTable):
         rename
 
 
-def is_compatible(a: AlgebraTable, b: AlgebraTable) -> bool:
+def is_compatible(a: AlgebraTable, b: AlgebraTable, *,
+                  leibniz: dict | None = None) -> bool:
     """Both brackets Leibniz and the mixed residual zero, symbolically in
-    any unbound parameters (clashing names count as distinct parameters)."""
+    any unbound parameters (clashing names count as distinct parameters).
+
+    leibniz, when given, caches each table's Leibniz verdict across calls,
+    keyed by the text of its nonzero structure constants.
+    """
     b2, _ = _disjoin_params(a, b)
-    return (leibniz_residual(a).is_zero
-            and leibniz_residual(b2).is_zero
-            and mixed_residual(a, b2).is_zero)
+    leibniz = {} if leibniz is None else leibniz
+    for t in (a, b2):
+        key = (t.dim,) + tuple((i, j, k, str(v))
+                               for i, j, k, v in t._nonzero)
+        if key not in leibniz:
+            leibniz[key] = leibniz_residual(t).is_zero
+        if not leibniz[key]:
+            return False
+    return mixed_residual(a, b2).is_zero
 
 
 def pair_witness(a: AlgebraTable, b: AlgebraTable):
@@ -184,22 +194,9 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
     """
     tables = list(tables)
     names = [t.name for t in tables]
-    leibniz = {}
-
-    def compatible_pair(a, b):
-        # is_compatible for parameter-disjoint tables, each table's Leibniz
-        # residual computed once per scan
-        for t in (a, b):
-            key = (t.dim, tuple((e.num, e.den) for plane in t.c
-                                for row in plane for e in row))
-            if key not in leibniz:
-                leibniz[key] = leibniz_residual(t).is_zero
-            if not leibniz[key]:
-                return False
-        return mixed_residual(a, b).is_zero
-
+    leibniz = {}    # each table's Leibniz verdict, computed once per scan
     diagonal = [t.name for t in tables
-                if compatible_pair(t, _disjoin_params(t, t)[0])]
+                if is_compatible(t, t, leibniz=leibniz)]
 
     def bindings_of(table):
         return sample_bindings(table) if pool is None \
@@ -219,12 +216,12 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
                     bv = bind_params(b2, bb) if bb else b2
                     binding = {**{k: str(v) for k, v in ba.items()},
                                **{k: str(v) for k, v in bb.items()}}
-                    if compatible_pair(av, bv):
+                    if is_compatible(av, bv, leibniz=leibniz):
                         passing.append(binding)
                     elif failing_binding is None:
                         failing_binding = binding
             all_pass = failing_binding is None
-            if all_pass and compatible_pair(a, b2):
+            if all_pass and is_compatible(a, b2, leibniz=leibniz):
                 compatible.append(pair)
                 continue
             witness = pair_witness(a, b)

@@ -12,6 +12,13 @@ reduction) is built on three value types:
            Equality is decided by cross-multiplication, zero-ness by the
            numerator alone.
 
+Every RatExpr keeps one invariant: den is either the shared polynomial
+_POLY_ONE or a non-constant polynomial (constant denominators are folded
+into the numerator on construction, and a zero numerator gets _POLY_ONE).
+The arithmetic relies on it: a denominator that ``is _POLY_ONE`` skips
+normalisation, a product of two such keeps it, and a sum or difference
+with a zero operand returns the other operand unchanged.
+
 Expression grammar accepted by parse_expr (EBNF, also in the README):
 
   expr     = term , { ("+" | "-") , term } ;
@@ -108,6 +115,11 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            out = Scalar.__new__(Scalar)
+            out.re = self.re * o.re
+            out.im = _ZERO
+            return out
         return Scalar(self.re * o.re - self.im * o.im,
                       self.re * o.im + self.im * o.re)
 
@@ -337,17 +349,20 @@ _POLY_ONE = Poly.const(1)
 class RatExpr:
     """Unreduced quotient of two Polys.
 
-    Constant denominators are folded into the numerator, so den is either 1
-    or a genuine polynomial; a zero numerator resets den to 1.  No GCD is
-    ever taken: equality uses cross-multiplication, which is sound because
-    coefficients live in a field and parameters range over an infinite one.
+    Constant denominators are folded into the numerator, so den is either
+    the shared _POLY_ONE or a non-constant polynomial; a zero numerator
+    resets den to _POLY_ONE.  No GCD is ever taken: equality uses
+    cross-multiplication, which is sound because coefficients live in a
+    field and parameters range over an infinite one.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = _POLY_ONE
+        if den is None or den is _POLY_ONE:
+            self.num = num
+            self.den = _POLY_ONE
+            return
         if den.is_zero:
             raise DenominatorVanishes("denominator is the zero polynomial")
         if den.is_const:
@@ -359,6 +374,11 @@ class RatExpr:
             den = _POLY_ONE
         self.num = num
         self.den = den
+
+    def __reduce__(self):
+        # a copy or an unpickled value is rebuilt through __init__, so its
+        # den is the shared _POLY_ONE again and not an equal copy of it
+        return RatExpr, (self.num, self.den)
 
     @staticmethod
     def const(c) -> "RatExpr":
@@ -386,20 +406,28 @@ class RatExpr:
         return self.num.params() | self.den.params()
 
     def __add__(self, other):
-        o = RatExpr._coerce(other)
+        o = other if type(other) is RatExpr else RatExpr._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.terms == o.den.terms:
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
+        if self.den is o.den or self.den.terms == o.den.terms:
             return RatExpr(self.num + o.num, self.den)
         return RatExpr(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = RatExpr._coerce(other)
+        o = other if type(other) is RatExpr else RatExpr._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.terms == o.den.terms:
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return -o
+        if self.den is o.den or self.den.terms == o.den.terms:
             return RatExpr(self.num - o.num, self.den)
         return RatExpr(self.num * o.den - o.num * self.den, self.den * o.den)
 
@@ -410,9 +438,11 @@ class RatExpr:
         return o - self
 
     def __mul__(self, other):
-        o = RatExpr._coerce(other)
+        o = other if type(other) is RatExpr else RatExpr._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _POLY_ONE and o.den is _POLY_ONE:
+            return RatExpr(self.num * o.num)
         return RatExpr(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -472,7 +502,7 @@ class RatExpr:
         return f"RatExpr({self})"
 
     def __str__(self):
-        if self.den.terms == _POLY_ONE.terms:
+        if self.den is _POLY_ONE:
             return _poly_str(self.num)
         return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
 

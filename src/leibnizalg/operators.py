@@ -24,8 +24,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algebra import AlgebraTable, CatalogError, ResidualTensor, data_dir, \
-    unit
+from .algebra import AlgebraTable, CatalogError, ResidualTensor, data_dir
 from .exact import (
     DenominatorVanishes,
     ExprSyntaxError,
@@ -102,13 +101,13 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
     def coords(i, j):
         ti, tj = cols[i], cols[j]
         btt = table.bracket(ti, tj)
-        bte = table.bracket(ti, unit(n, j))
-        bet = table.bracket(unit(n, i), tj)
+        bte = table.bracket_e(ti, j)
+        bet = table.e_bracket(i, tj)
         if kind.name == "rota-baxter":
-            bee = table.product(i, j)
+            bee = table.c[i][j]
             inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
         elif kind.name == "nijenhuis":
-            tb = apply_t(table.product(i, j))
+            tb = apply_t(table.c[i][j])
             inner = [bte[q] + bet[q] - tb[q] for q in range(n)]
         elif kind.name == "reynolds":
             inner = [bet[q] + bte[q] - btt[q] for q in range(n)]

@@ -1,0 +1,51 @@
+"""Hypothesis strategies and helpers shared by the dense-oracle tests.
+
+sparse_tables draws small structure-constant tables, from a few nonzero
+entries, as in the catalog, up to about half of them.  The entries mix
+integers, Gaussian rationals, a symbolic ``mu`` and fractions over the
+denominators 1 - mu, 1 + mu and mu.  A residual coordinate then often sums fractions
+over equal and distinct denominators, where the order of summation shows
+in the unreduced text: 1/(1-mu) + mu/(1-mu) + 1/(1+mu) and the same sum
+taken backwards print differently.
+
+unit is the basis vector the dense reference formulas bracket with; the
+library contracts over nonzero structure constants instead.
+"""
+
+from hypothesis import strategies as st
+
+from leibnizalg.algebra import AlgebraTable, ParamSpec
+from leibnizalg.exact import RE_ONE, RE_ZERO, parse_expr
+
+ENTRY_TEXTS = (
+    "1", "-1", "2", "-3/2", "i", "1+i", "-2/3*i",
+    "mu", "-mu", "mu^2 - 1", "i*mu",
+    "(1 + mu)/(1 - mu)", "1/(1 - mu)", "mu/(1 - mu)",
+    "1/(1 + mu)", "(2*mu)/(1 + mu)", "(1 - mu)/mu",
+)
+
+
+def unit(n: int, i: int):
+    """Coefficient vector of the basis element e_i (0-based)."""
+    return [RE_ONE if q == i else RE_ZERO for q in range(n)]
+
+
+@st.composite
+def sparse_tables(draw, dim: int, name: str = "T"):
+    """A dim-dimensional table; about 7 %, 30 % or 50 % of its structure
+    constants are nonzero."""
+    zeros = draw(st.sampled_from((240, 40, 16)))
+    pool = ENTRY_TEXTS + ("0",) * zeros
+    texts = iter(draw(st.lists(st.sampled_from(pool), min_size=dim ** 3,
+                               max_size=dim ** 3)))
+    c = [[[parse_expr(next(texts)) for _ in range(dim)] for _ in range(dim)]
+         for _ in range(dim)]
+    return AlgebraTable(name, dim, c, [ParamSpec("mu", "C\\{-1,0,1}")])
+
+
+dims = st.integers(min_value=2, max_value=4)
+
+
+def walk_text(residual):
+    """Every coordinate of a residual as (label, printed value)."""
+    return [(label, str(value)) for label, value in residual.walk()]

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leibnizalg
 from leibnizalg.algebra import (
     AlgebraTable,
     CatalogError,
     ParamSpec,
+    ResidualTensor,
     bind_params,
     catalog_map,
     combined_bracket,
@@ -21,6 +23,7 @@ from leibnizalg.algebra import (
     sample_bindings,
 )
 from leibnizalg.exact import RatExpr, Scalar, parse_expr
+from strategies import ENTRY_TEXTS, dims, sparse_tables, unit, walk_text
 
 
 def make_table(name, entries, params=(), dim=4):
@@ -73,6 +76,73 @@ class TestResidual:
         ff = leibniz_residual(var).first_failure()
         assert ff is not None
         assert list(ff[:3]) == errata["L4"]["failing_triple"]
+
+
+def dense_leibniz_residual(table):
+    """Reference: the residual bracketing unit vectors over every triple."""
+    n = table.dim
+
+    def coords(i, j, k):
+        t1 = table.bracket(unit(n, i), list(table.c[j][k]))
+        t2 = table.bracket(list(table.c[i][j]), unit(n, k))
+        t3 = table.bracket(list(table.c[i][k]), unit(n, j))
+        return [t1[q] - t2[q] + t3[q] for q in range(n)]
+
+    return ResidualTensor.tabulate(n, 3, coords)
+
+
+class TestSparseContraction:
+    @settings(max_examples=60, deadline=None)
+    @given(dims.flatmap(sparse_tables), st.data())
+    def test_unit_brackets_match_dense_bracket(self, table, data):
+        n = table.dim
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        v = [parse_expr(text) for text in data.draw(
+            st.lists(st.sampled_from(ENTRY_TEXTS + ("0", "0")),
+                     min_size=n, max_size=n))]
+        ea = unit(n, a)
+        for got, dense in ((table.e_bracket(a, v), table.bracket(ea, v)),
+                           (table.bracket_e(v, a), table.bracket(v, ea))):
+            assert [str(x) for x in got] == [str(x) for x in dense]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims.flatmap(sparse_tables))
+    def test_leibniz_residual_matches_dense_oracle(self, table):
+        res = leibniz_residual(table)
+        dense = dense_leibniz_residual(table)
+        assert walk_text(res) == walk_text(dense)
+        assert res.is_zero == (dense.first_failure() is None)
+
+    def test_unit_brackets_sum_in_ascending_index(self):
+        # [e1, v] = [v, e1] = (v1 + v2 + v3) e1 with v over denominators
+        # (d, d, e): summed backwards the unreduced text differs
+        c = [[[RatExpr.const(0)] * 3 for _ in range(3)] for _ in range(3)]
+        for b in range(3):
+            c[0][b][0] = c[b][0][0] = RatExpr.const(1)
+        table = AlgebraTable("sum", 3, c)
+        v = [parse_expr(t) for t in ("1/(1-mu)", "mu/(1-mu)", "1/(1+mu)")]
+        backwards = v[2] + v[1] + v[0]
+        e1 = unit(3, 0)
+        for got, dense in ((table.e_bracket(0, v), table.bracket(e1, v)),
+                           (table.bracket_e(v, 0), table.bracket(v, e1))):
+            assert str(got[0]) == str(dense[0]) \
+                == "(2 + mu + mu^2)/(1 - mu^2)"
+            assert got[0] == backwards and str(got[0]) != str(backwards)
+
+    def test_catalog_residuals_match_dense_oracle(self, catalog):
+        for t in catalog.values():
+            assert walk_text(leibniz_residual(t)) \
+                == walk_text(dense_leibniz_residual(t)), t.name
+
+    def test_residual_is_zero_reads_every_coordinate(self):
+        # the last coordinate alone is nonzero
+        n = 2
+        entries = {(i, j, k): [RatExpr.const(0)] * n
+                   for i in range(n) for j in range(n) for k in range(n)}
+        entries[1, 1, 1] = [RatExpr.const(0), parse_expr("1/(1-mu)")]
+        res = ResidualTensor(n, entries)
+        assert not res.is_zero
+        assert res.first_failure()[:4] == (2, 2, 2, 2)
 
 
 class TestLowerCentralSeries:

@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import leibnizalg.compat as compat
 from leibnizalg.algebra import (
     AlgebraTable,
     CatalogError,
+    ResidualTensor,
     catalog_map,
     combined_bracket,
     leibniz_residual,
@@ -22,6 +25,7 @@ from leibnizalg.compat import (
     _disjoin_params,
 )
 from leibnizalg.exact import RE_ZERO, RatExpr
+from strategies import dims, sparse_tables, unit, walk_text
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,42 @@ def test_mixed_residual_of_equal_brackets_doubles_leibniz(cmap):
                         rhs = RatExpr.const(2) * base.entries[i, j, k][q]
                         assert lhs == rhs
         assert mixed.is_zero    # catalog tables satisfy the Leibniz identity
+
+
+def dense_mixed_residual(a, b):
+    """Reference: the mixed residual bracketing unit vectors."""
+    n = a.dim
+
+    def coords(i, j, k):
+        t1 = b.bracket(unit(n, i), list(a.c[j][k]))
+        t2 = a.bracket(unit(n, i), list(b.c[j][k]))
+        t3 = b.bracket(list(a.c[i][j]), unit(n, k))
+        t4 = a.bracket(list(b.c[i][j]), unit(n, k))
+        t5 = b.bracket(list(a.c[i][k]), unit(n, j))
+        t6 = a.bracket(list(b.c[i][k]), unit(n, j))
+        return [t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
+                for q in range(n)]
+
+    return ResidualTensor.tabulate(n, 3, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(lambda n: st.tuples(sparse_tables(n, "A"),
+                                        sparse_tables(n, "B"))))
+def test_mixed_residual_matches_dense_oracle(pair):
+    a, b = pair
+    res = mixed_residual(a, b)
+    assert walk_text(res) == walk_text(dense_mixed_residual(a, b))
+    assert res.is_zero == (res.first_failure() is None)
+
+
+def test_catalog_mixed_residuals_match_dense_oracle(cmap):
+    # L20 is the one table with a non-constant denominator
+    for x, y in (("L20", "L4"), ("L4", "L20"), ("L20", "L20"), ("L4", "L9"),
+                 ("L13", "L14"), ("L5", "L7")):
+        a, b = cmap[x], _disjoin_params(cmap[x], cmap[y])[0]
+        assert walk_text(mixed_residual(a, b)) \
+            == walk_text(dense_mixed_residual(a, b)), (x, y)
 
 
 def test_mixed_residual_against_abelian_vanishes(cmap):
@@ -111,6 +151,60 @@ def test_shared_parameter_names_are_disjoined(cmap):
 def test_diagonal_is_compatible(cmap):
     for name in ("L1", "L4", "L14", "L21"):
         assert is_compatible(cmap[name], cmap[name])
+
+
+def test_leibniz_cache_computes_each_table_once(cmap, monkeypatch):
+    computed = []
+
+    def counting(table):
+        computed.append(table.name)
+        return leibniz_residual(table)
+
+    monkeypatch.setattr(compat, "leibniz_residual", counting)
+    cache = {}
+    assert is_compatible(cmap["L1"], cmap["L3"], leibniz=cache)
+    assert is_compatible(cmap["L3"], cmap["L1"], leibniz=cache)
+    assert is_compatible(cmap["L1"], cmap["L1"], leibniz=cache)
+    assert computed == ["L1", "L3"]
+    # the renamed copy of L4 is a different table from L4
+    assert is_compatible(cmap["L4"], cmap["L4"], leibniz=cache)
+    assert computed == ["L1", "L3", "L4", "L4"]
+    assert len(cache) == 4 and all(cache.values())
+
+
+def test_leibniz_cache_keeps_failing_verdicts(cmap):
+    bad = AlgebraTable("bad", 4, [[[RatExpr.const(int(i == j == k == 0))
+                                    for k in range(4)] for j in range(4)]
+                                  for i in range(4)])
+    cache = {}
+    for _ in range(2):
+        assert not is_compatible(bad, cmap["L1"], leibniz=cache)
+        assert not is_compatible(cmap["L1"], bad, leibniz=cache)
+    assert sorted(cache.values()) == [False, True]
+
+
+def test_scan_calls_is_compatible_through_the_module(cmap, monkeypatch):
+    # per-layer tracing replaces the module global and reads the two
+    # tables from the positional arguments
+    seen = []
+    original = compat.is_compatible
+
+    def observed(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compat, "is_compatible", observed)
+    tables = [cmap[n] for n in ("L1", "L3", "L4")]
+    rep = compat_scan(tables, claimed=[])
+    assert all(len(args) == 2 for args in seen)
+    bound = sum(1 for a, b in seen if a.is_bound() and b.is_bound())
+    # 3 diagonal checks (L4 symbolic); L1-L3 at its one empty binding and
+    # again as the final check; L1-L4 and L3-L4 at mu = 0 and 1, and only
+    # the passing L3-L4 symbolically
+    assert len(seen) == 3 + 2 + 2 + 3
+    assert bound == 2 + 2 + 2 + 2
+    assert rep.diagonal_compatible == ["L1", "L3", "L4"]
+    assert rep.compatible == [("L1", "L3"), ("L3", "L4")]
 
 
 # ---------------------------------------------------------------------------

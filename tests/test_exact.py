@@ -1,5 +1,7 @@
 """Unit and property tests for the exact arithmetic layer."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from leibnizalg.exact import (
     Poly,
     RatExpr,
     Scalar,
+    _POLY_ONE,
     parse_expr,
     reduce_mod_p,
 )
@@ -249,6 +252,93 @@ def test_reduce_mod_p_is_homomorphism(x, y, p):
         return
     assert rsum == (ra + rb) % p
     assert rprod == (ra * rb) % p
+
+
+# --- the denominator-one fast paths ------------------------------------------
+
+def _den_ok(e):
+    """The invariant the fast paths rely on."""
+    return e.den is _POLY_ONE or not e.den.is_const
+
+
+# a denominator of one (with or without a zero numerator), a constant one
+# folded into the numerator, and non-constant ones
+operands = st.one_of(
+    ratexprs(),
+    polys().map(RatExpr),
+    st.builds(RatExpr, polys(), st.builds(Poly.const, scalars.filter(bool))),
+    st.just(RatExpr.const(0)),
+    st.sampled_from(["(1+m)/(1-m)", "1/(1-m)", "x/(1-m)", "(2*x)/(1-m)"]
+                    ).map(parse_expr),
+)
+
+
+def _general_add(a, b, sign=1):
+    """Sum or difference as the fast paths must reproduce it: numerators
+    added over an equal denominator, otherwise cross-multiplied."""
+    bn = b.num if sign > 0 else -b.num
+    if a.den.terms == b.den.terms:
+        return RatExpr(a.num + bn, a.den)
+    return RatExpr(a.num * b.den + bn * a.den, a.den * b.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands, operands, st.integers(min_value=-2, max_value=3))
+def test_every_result_keeps_the_denominator_invariant(a, b, k):
+    results = [a, b, a + b, a - b, a * b, -a, 2 + a, 2 - a, 2 * a,
+               parse_expr(str(a)), parse_expr(str(b))]
+    if not b.is_zero:
+        results += [a / b, 1 / b]
+    if k >= 0 or not a.is_zero:
+        results.append(a ** k)
+    for binding in ({"x": b}, {"x": RatExpr.const(0)}, {"m": a}):
+        try:
+            results.append(a.substitute(binding))
+        except DenominatorVanishes:
+            pass
+    assert all(_den_ok(e) for e in results)
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands, operands)
+def test_fast_paths_match_the_general_formula(a, b):
+    for fast, general in ((a + b, _general_add(a, b)),
+                          (a - b, _general_add(a, b, -1)),
+                          (a * b, RatExpr(a.num * b.num, a.den * b.den))):
+        assert fast == general
+        assert str(fast) == str(general)
+
+
+def test_zero_operand_returns_the_other_unchanged():
+    zero, q = RatExpr.const(0), parse_expr("(1+m)/(1-m)")
+    assert q + zero is q and zero + q is q and q - zero is q
+    assert str(zero - q) == "(-1 - m)/(1 - m)"
+    assert str(q * RatExpr.const(1)) == str(q)
+
+
+def test_copies_keep_the_shared_denominator():
+    for text in ("x + 1", "0", "3/2*i", "(1+m)/(1-m)"):
+        e = parse_expr(text)
+        for again in (copy.copy(e), copy.deepcopy(e),
+                      pickle.loads(pickle.dumps(e))):
+            assert _den_ok(again)
+            assert (again.den is _POLY_ONE) == (e.den is _POLY_ONE)
+            assert str(again) == str(e)
+            assert str(again + e) == str(e + e)
+
+
+gaussian = st.one_of(st.builds(Scalar, fracs), scalars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian, gaussian)
+def test_scalar_product_matches_four_products(a, b):
+    want = Scalar(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    for got in (a * b, b * a):
+        assert got == want
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert repr(got) == repr(want)
+        assert str(got) == str(want)
 
 
 def test_reduce_mod_p_examples():

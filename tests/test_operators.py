@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnizalg.algebra import AlgebraTable, CatalogError, catalog_map
+from leibnizalg.algebra import AlgebraTable, CatalogError, ResidualTensor, \
+    catalog_map
 from leibnizalg.exact import (
     DenominatorVanishes,
     Poly,
@@ -29,6 +30,7 @@ from leibnizalg.operators import (
     unknown_matrix,
     verify_family,
 )
+from strategies import dims, sparse_tables, unit, walk_text
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +291,93 @@ def test_rota_baxter_scaling_identity_random(entries, cval, wval):
     c2 = c * c
     assert all(scaled.entries[i, j][q] == c2 * base.entries[i, j][q]
                for i in range(4) for j in range(4) for q in range(4))
+
+
+# ---------------------------------------------------------------------------
+# the residual against a dense reference
+
+def dense_operator_residual(table, kind, T):
+    """Reference: the operator residual bracketing unit vectors."""
+    n = table.dim
+    cols = [[T[r][c] for r in range(n)] for c in range(n)]
+
+    def apply_t(vec):
+        out = []
+        for q in range(n):
+            s = RE_ZERO
+            for k in range(n):
+                if not vec[k].is_zero and not T[q][k].is_zero:
+                    s = s + T[q][k] * vec[k]
+            out.append(s)
+        return out
+
+    def coords(i, j):
+        ti, tj = cols[i], cols[j]
+        btt = table.bracket(ti, tj)
+        bte = table.bracket(ti, unit(n, j))
+        bet = table.bracket(unit(n, i), tj)
+        if kind.name == "rota-baxter":
+            bee = list(table.c[i][j])
+            inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
+        elif kind.name == "nijenhuis":
+            tb = apply_t(list(table.c[i][j]))
+            inner = [bte[q] + bet[q] - tb[q] for q in range(n)]
+        elif kind.name == "reynolds":
+            inner = [bet[q] + bte[q] - btt[q] for q in range(n)]
+        else:
+            left = apply_t(bte)
+            right = apply_t(bet)
+            return ([btt[q] - left[q] for q in range(n)]
+                    + [btt[q] - right[q] for q in range(n)])
+        out = apply_t(inner)
+        return [btt[q] - out[q] for q in range(n)]
+
+    conditions = ("left", "right") if kind.name == "averaging" else ("",)
+    return ResidualTensor.tabulate(n, 2, coords, conditions)
+
+
+OPERATOR_ENTRIES = ("0",) * 8 + ("1", "-2", "1/2", "i", "t", "s + 1",
+                                 "1/(1 - mu)", "mu/(1 - mu)", "1/(1 + mu)")
+KINDS_WITH_WEIGHTS = [make_kind(k) for k in KIND_NAMES] + [
+    make_kind("rota-baxter", "1/2"),
+    make_kind("rota-baxter", RatExpr.var("w")),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(sparse_tables), st.sampled_from(KINDS_WITH_WEIGHTS),
+       st.data())
+def test_operator_residual_matches_dense_oracle(table, kind, data):
+    n = table.dim
+    T = [[parse_expr(data.draw(st.sampled_from(OPERATOR_ENTRIES)))
+          for _ in range(n)] for _ in range(n)]
+    res = operator_residual(table, kind, T)
+    dense = dense_operator_residual(table, kind, T)
+    assert walk_text(res) == walk_text(dense)
+    assert res.conditions == dense.conditions
+
+
+def test_catalog_operator_residuals_match_dense_oracle(cmap, families):
+    # every chart on a table with a parameter, L20's (1 + mu)/(1 - mu)
+    # among them, and each such table's unknown matrix
+    checked = 0
+    for fam in families:
+        table = cmap[fam.algebra]
+        if fam.malformed or table.is_bound():
+            continue
+        for kind in KINDS_WITH_WEIGHTS:
+            if kind.name == fam.kind:
+                res = operator_residual(table, kind, fam.chart)
+                assert walk_text(res) == walk_text(
+                    dense_operator_residual(table, kind, fam.chart)), \
+                    fam.label()
+                checked += 1
+    assert checked > 50
+    for name in ("L4", "L20"):
+        for kind in KINDS_WITH_WEIGHTS:
+            T = unknown_matrix(4, kind.name)
+            assert walk_text(operator_residual(cmap[name], kind, T)) \
+                == walk_text(dense_operator_residual(cmap[name], kind, T))
 
 
 # ---------------------------------------------------------------------------
