@@ -93,7 +93,7 @@ class AlgebraTable:
     """An n-dimensional algebra given by structure constants."""
 
     __slots__ = ("name", "dim", "c", "params", "_nonzero", "_left",
-                 "_right")
+                 "_right", "_leibniz")
 
     def __init__(self, name: str, dim: int, c, params=()):
         self.name = name
@@ -112,12 +112,20 @@ class AlgebraTable:
                                  if i == a) for a in range(dim))
         self._right = tuple(tuple((i, k, val) for i, j, k, val in self._nonzero
                                   if j == b) for b in range(dim))
+        self._leibniz = None
 
     def param_names(self):
         return [p.name for p in self.params]
 
     def is_bound(self) -> bool:
         return not self.params
+
+    def is_leibniz(self) -> bool:
+        """Whether leibniz_residual vanishes, symbolically in any parameters;
+        computed on first use and kept on the table, which never changes."""
+        if self._leibniz is None:
+            self._leibniz = leibniz_residual(self).is_zero
+        return self._leibniz
 
     def bracket(self, u, v):
         """Bracket of two coefficient vectors (length-dim sequences of RatExpr)."""
@@ -243,6 +251,14 @@ class ResidualTensor:
         return self.first_failure(condition) is None
 
 
+def witness_dict(hit):
+    """A first_failure (i, j, k, q, value) as JSON; None stays None."""
+    if hit is None:
+        return None
+    i, j, k, q, value = hit
+    return {"i": i, "j": j, "k": k, "q": q, "value": str(value)}
+
+
 def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
     """R(e_i,e_j,e_k) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]."""
     n, c = table.dim, table.c
@@ -341,6 +357,12 @@ def lower_central_series(table: AlgebraTable):
 
 # ---------------------------------------------------------------------------
 # data files
+
+def algebra_sort_key(name: str):
+    """Natural order of algebra names: L2 before L10."""
+    digits = "".join(ch for ch in name if ch.isdigit())
+    return (int(digits) if digits else 0, name)
+
 
 def data_dir() -> Path:
     override = os.environ.get("LEIBNIZ_DATA_DIR")

@@ -30,7 +30,7 @@ from .algebra import (
     load_errata,
     lower_central_series,
     printed_variant,
-    sample_bindings,
+    witness_dict,
 )
 from .compat import (
     compat_scan,
@@ -162,13 +162,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _witness_dict(hit):
-    if hit is None:
-        return None
-    i, j, k, q, value = hit
-    return {"i": i, "j": j, "k": k, "q": q, "value": str(value)}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -212,7 +205,7 @@ def cmd_check_leibniz(args) -> int:
         reading = "as-printed"
     hit = leibniz_residual(table).first_failure()
     payload = {"algebra": args.name, "reading": reading,
-               "residual_zero": hit is None, "witness": _witness_dict(hit)}
+               "residual_zero": hit is None, "witness": witness_dict(hit)}
     if hit is None:
         lines = [f"{args.name} ({reading}): bracket identity holds"]
     else:
@@ -447,7 +440,7 @@ def cmd_compat(args) -> int:
     if ok and args.lambda_samples:
         samples = lambda_sample_check(a, b, samples=args.lambda_samples)
     payload = {"pair": [a.name, b.name], "compatible": ok,
-               "witness": _witness_dict(witness),
+               "witness": witness_dict(witness),
                "lambda_checks": samples}
     if ok:
         lines = [f"{a.name} and {b.name}: compatible"]
@@ -466,16 +459,22 @@ def cmd_compat(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_pool(text):
+def _parse_pool(text, tables):
     if not text:
         return None
     name, sep, values = text.partition("=")
     if not sep:
         raise UsageError("--params expects NAME=V1,V2,...")
+    if not any(name in t.param_names() for t in tables):
+        raise UsageError(f"--params {text!r}: no table has a parameter "
+                         f"{name!r}")
     try:
-        return [parse_expr(v).as_scalar().re for v in values.split(",")]
+        pool = [parse_expr(v).as_scalar() for v in values.split(",")]
     except (ExprSyntaxError, ValueError) as err:
         raise UsageError(f"--params {text!r}: {err}") from err
+    if not all(v.is_real for v in pool):
+        raise UsageError(f"--params {text!r}: sample values must be real")
+    return [v.re for v in pool]
 
 
 def cmd_compat_scan(args) -> int:
@@ -484,7 +483,7 @@ def cmd_compat_scan(args) -> int:
                                  / "claimed_compatible_pairs.json")
     rep = compat_scan(tables, claimed=claimed,
                       lambda_samples=args.lambda_samples,
-                      pool=_parse_pool(args.params))
+                      pool=_parse_pool(args.params, tables))
     payload = rep.as_dict()
     lines = [
         f"checked {len(rep.pairs_checked)} pairs over {len(rep.names)} "
@@ -517,6 +516,14 @@ def cmd_compat_scan(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _count(text: str) -> int:
+    """The argparse type of every count flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
 
 def _add_common(sub):
     sub.add_argument("--data-dir", help="directory holding catalog and "
@@ -609,10 +616,10 @@ def build_parser() -> _Parser:
                        help="evaluation path (default compiled)")
         p.add_argument("--param", action="append", metavar="NAME=VALUE")
         if extra == "list":
-            p.add_argument("--limit", type=int, default=32,
+            p.add_argument("--limit", type=_count, default=32,
                            help="solutions to print (0 = all; default 32)")
         else:
-            p.add_argument("--cap", type=int, default=32,
+            p.add_argument("--cap", type=_count, default=32,
                            help="uncovered matrices kept in the report "
                                 "(default 32)")
         _add_common(p)
@@ -623,7 +630,7 @@ def build_parser() -> _Parser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--lambda-samples", type=int, default=0,
+    p.add_argument("--lambda-samples", type=_count, default=0,
                    help="also check this many random bracket pencils")
     _add_common(p)
     p.set_defaults(func=cmd_compat)
@@ -633,7 +640,7 @@ def build_parser() -> _Parser:
                              "claimed list")
     p.add_argument("--params", metavar="NAME=V1,V2,...",
                    help="sample values for table parameters")
-    p.add_argument("--lambda-samples", type=int, default=0,
+    p.add_argument("--lambda-samples", type=_count, default=0,
                    help="random bracket pencils per compatible pair")
     _add_common(p)
     p.set_defaults(func=cmd_compat_scan)

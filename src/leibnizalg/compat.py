@@ -11,25 +11,33 @@ vanishes.  The scan works in the shared fixed basis exactly as the tables
 are stored; no basis change is searched for, so "incompatible" means
 incompatible as presented.  Catalog tables sharing a parameter name are
 treated as independently parameterized (one side is renamed first).
+
+A scan binds each table at its sample values once and uses the bound
+tables in every pair; each table keeps its own Leibniz verdict
+(AlgebraTable.is_leibniz).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .algebra import (
     AlgebraTable,
     CatalogError,
     ResidualTensor,
+    SAMPLE_POOL,
+    algebra_sort_key,
     bind_params,
     combined_bracket,
     data_dir,
     leibniz_residual,
     sample_bindings,
+    witness_dict,
 )
 from .exact import RatExpr
 
@@ -75,24 +83,12 @@ def _disjoin_params(a: AlgebraTable, b: AlgebraTable):
         rename
 
 
-def is_compatible(a: AlgebraTable, b: AlgebraTable, *,
-                  leibniz: dict | None = None) -> bool:
+def is_compatible(a: AlgebraTable, b: AlgebraTable) -> bool:
     """Both brackets Leibniz and the mixed residual zero, symbolically in
-    any unbound parameters (clashing names count as distinct parameters).
-
-    leibniz, when given, caches each table's Leibniz verdict across calls,
-    keyed by the text of its nonzero structure constants.
-    """
+    any unbound parameters (clashing names count as distinct parameters)."""
     b2, _ = _disjoin_params(a, b)
-    leibniz = {} if leibniz is None else leibniz
-    for t in (a, b2):
-        key = (t.dim,) + tuple((i, j, k, str(v))
-                               for i, j, k, v in t._nonzero)
-        if key not in leibniz:
-            leibniz[key] = leibniz_residual(t).is_zero
-        if not leibniz[key]:
-            return False
-    return mixed_residual(a, b2).is_zero
+    return (a.is_leibniz() and b2.is_leibniz()
+            and mixed_residual(a, b2).is_zero)
 
 
 def pair_witness(a: AlgebraTable, b: AlgebraTable):
@@ -117,10 +113,8 @@ def lambda_sample_check(a: AlgebraTable, b: AlgebraTable, *,
         pencil = combined_bracket(a, b2, RatExpr.const(l1), RatExpr.const(l2))
         hit = leibniz_residual(pencil).first_failure()
         if hit is not None:
-            i, j, k, q, value = hit
             failures.append({"l1": str(l1), "l2": str(l2),
-                             "i": i, "j": j, "k": k, "q": q,
-                             "value": str(value)})
+                             **witness_dict(hit)})
     return {"samples": samples, "ok": not failures, "failures": failures}
 
 
@@ -141,10 +135,7 @@ def load_claimed_pairs(path: Path | None = None):
 
 
 def _key(a: str, b: str):
-    def rank(name):
-        digits = "".join(ch for ch in name if ch.isdigit())
-        return (int(digits) if digits else 0, name)
-    return tuple(sorted((a, b), key=rank))
+    return tuple(sorted((a, b), key=algebra_sort_key))
 
 
 @dataclass
@@ -163,21 +154,9 @@ class PairReport:
     note: str = SCAN_NOTE
 
     def as_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "pairs_checked": [list(p) for p in self.pairs_checked],
-            "diagonal_compatible": list(self.diagonal_compatible),
-            "compatible": [list(p) for p in self.compatible],
-            "failing": self.failing,
-            "per_value_exceptions": self.per_value_exceptions,
-            "claimed": [list(p) for p in self.claimed],
-            "claimed_but_failing": [list(p) for p in self.claimed_but_failing],
-            "passing_but_unclaimed":
-                [list(p) for p in self.passing_but_unclaimed],
-            "unmatchable_claims": [list(p) for p in self.unmatchable_claims],
-            "lambda_checks": self.lambda_checks,
-            "note": self.note,
-        }
+        """Every field, copied; pairs stay tuples, which JSON writes as
+        arrays."""
+        return asdict(self)
 
 
 def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
@@ -191,51 +170,41 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
     are listed as per-value exceptions.  With lambda_samples > 0, every
     compatible pair is additionally probed with that many random bracket
     pencils.
+
+    Each table is bound at its sample bindings once, before the pair loop;
+    a pair of parameter-free tables is checked once.  Leibniz verdicts are
+    kept on the tables (AlgebraTable.is_leibniz).
     """
     tables = list(tables)
     names = [t.name for t in tables]
-    leibniz = {}    # each table's Leibniz verdict, computed once per scan
-    diagonal = [t.name for t in tables
-                if is_compatible(t, t, leibniz=leibniz)]
-
-    def bindings_of(table):
-        return sample_bindings(table) if pool is None \
-            else sample_bindings(table, pool)
+    diagonal = [t.name for t in tables if is_compatible(t, t)]
+    pool = SAMPLE_POOL if pool is None else pool
+    bound = [[(binding, bind_params(t, binding) if binding else t)
+              for binding in sample_bindings(t, pool)] for t in tables]
 
     pairs_checked, compatible, failing, exceptions = [], [], [], []
-    for s in range(len(tables)):
-        for t in range(s + 1, len(tables)):
-            a, b = tables[s], tables[t]
-            pair = _key(a.name, b.name)
-            pairs_checked.append(pair)
-            b2, _ = _disjoin_params(a, b)
-            passing, failing_binding = [], None
-            for ba in bindings_of(a):
-                for bb in bindings_of(b2):
-                    av = bind_params(a, ba) if ba else a
-                    bv = bind_params(b2, bb) if bb else b2
-                    binding = {**{k: str(v) for k, v in ba.items()},
-                               **{k: str(v) for k, v in bb.items()}}
-                    if is_compatible(av, bv, leibniz=leibniz):
-                        passing.append(binding)
-                    elif failing_binding is None:
-                        failing_binding = binding
-            all_pass = failing_binding is None
-            if all_pass and is_compatible(a, b2, leibniz=leibniz):
-                compatible.append(pair)
-                continue
-            witness = pair_witness(a, b)
-            row = {"pair": list(pair)}
-            if witness is not None:
-                i, j, k, q, value = witness
-                row["witness"] = {"i": i, "j": j, "k": k, "q": q,
-                                  "value": str(value)}
-            else:
-                row["witness"] = None   # a Leibniz residual failed instead
-            failing.append(row)
-            if passing:
-                exceptions.append({"pair": list(pair),
-                                   "passing_bindings": passing})
+    for (a, bound_a), (b, bound_b) in combinations(zip(tables, bound), 2):
+        pair = _key(a.name, b.name)
+        pairs_checked.append(pair)
+        b2, rename = _disjoin_params(a, b)
+        passing, all_pass = [], True
+        for ba, av in bound_a:
+            for bb, bv in bound_b:
+                binding = {**ba, **{rename.get(k, k): v for k, v in bb.items()}}
+                if is_compatible(av, bv):
+                    passing.append({k: str(v) for k, v in binding.items()})
+                else:
+                    all_pass = False
+        if all_pass and (a.is_bound() and b.is_bound()
+                         or is_compatible(a, b2)):
+            compatible.append(pair)
+            continue
+        # no witness (None) when a Leibniz residual failed instead
+        failing.append({"pair": list(pair),
+                        "witness": witness_dict(pair_witness(a, b2))})
+        if passing:
+            exceptions.append({"pair": list(pair),
+                               "passing_bindings": passing})
 
     claimed = load_claimed_pairs() if claimed is None else list(claimed)
     known = set(names)
@@ -254,16 +223,14 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
     if lambda_samples > 0:
         by_name = {t.name: t for t in tables}
         results = []
-        ok = True
         for a, b in compatible:
             out = lambda_sample_check(by_name[a], by_name[b],
                                       samples=lambda_samples, seed=seed)
-            ok = ok and out["ok"]
             if not out["ok"]:
                 results.append({"pair": [a, b], "failures": out["failures"]})
         lambda_checks = {"samples": lambda_samples,
                          "pairs_checked": len(compatible),
-                         "ok": ok, "failures": results}
+                         "ok": not results, "failures": results}
 
     return PairReport(
         names=names,

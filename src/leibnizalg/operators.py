@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algebra import AlgebraTable, CatalogError, ResidualTensor, data_dir
+from .algebra import AlgebraTable, CatalogError, ResidualTensor, \
+    algebra_sort_key, data_dir
 from .exact import (
     DenominatorVanishes,
     ExprSyntaxError,
@@ -439,7 +440,7 @@ def dimension_report(cmap: dict, fams, kind_name: str, audit_rows=None):
         "claimed_range": [claimed_lo, claimed_hi],
         "per_algebra": per_algebra,
         "algebras_without_verified_family":
-            sorted(set(cmap) - set(per_algebra), key=_algebra_sort_key),
+            sorted(set(cmap) - set(per_algebra), key=algebra_sort_key),
         "achieved_range": [dims[0], dims[-1]] if dims else None,
         "mismatches": [],
     }
@@ -457,13 +458,8 @@ def dimension_report(cmap: dict, fams, kind_name: str, audit_rows=None):
 
 
 def _extremal(per_algebra, value):
-    for name in sorted(per_algebra, key=_algebra_sort_key):
+    for name in sorted(per_algebra, key=algebra_sort_key):
         v = per_algebra[name]
         if v["max_dim"] == value:
             return f"{name}#{v['family_index']}"
     return None
-
-
-def _algebra_sort_key(name: str):
-    digits = "".join(ch for ch in name if ch.isdigit())
-    return (int(digits) if digits else 0, name)

@@ -1,0 +1,87 @@
+"""The names that the benchmark's tracer hooks still exist in the package.
+
+bench/tracing.py wraps functions and methods of leibnizalg by name.  A
+rename in the package would otherwise show only as a crash of a traced
+benchmark run (bench/run.py --trace 1), so these tests load the tracer by
+path and check its hooks against the package.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import leibnizalg
+import leibnizalg.cli  # noqa: F401  (the tracer patches every module)
+from leibnizalg.algebra import catalog_map
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _methods(tracing):
+    for path, attr, _ in tracing.SPANNED_METHODS + tracing.COUNTED_METHODS:
+        mod_name, cls_name = path.split(".")
+        yield getattr(getattr(leibnizalg, mod_name), cls_name), attr
+
+
+def _bindings(tracing):
+    """Every global of the traced modules and every hooked method."""
+    out = {(name, key): value for name in tracing.MODULES
+           for key, value in vars(sys.modules[name]).items()}
+    out.update(((cls, attr), vars(cls)[attr])
+               for cls, attr in _methods(tracing))
+    return out
+
+
+def test_every_hook_resolves_in_the_package(tracing):
+    assert all(name in sys.modules for name in tracing.MODULES)
+    for mod_name, attr, _ in tracing.SPANNED:
+        assert callable(getattr(getattr(leibnizalg, mod_name), attr, None)), \
+            (mod_name, attr)
+    for cls, attr in _methods(tracing):
+        assert callable(vars(cls).get(attr)), (cls, attr)
+
+
+def test_install_patches_every_hook_and_uninstall_restores_it(tracing):
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(leibnizalg)
+    try:
+        during = _bindings(tracing)
+        for mod_name, attr, _ in tracing.SPANNED:
+            key = ("leibnizalg." + mod_name, attr)
+            assert during[key] is not before[key], key
+        for cls, attr in _methods(tracing):
+            assert during[cls, attr] is not before[cls, attr], (cls, attr)
+    finally:
+        tracer.uninstall()
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_scan_is_counted_through_the_module_globals(tracing):
+    fresh = catalog_map()           # no Leibniz verdicts kept on the tables
+    tracer = tracing.Tracer()
+    tracer.install(leibnizalg)
+    try:
+        leibnizalg.compat.compat_scan([fresh["L1"], fresh["L3"]],
+                                      claimed=[])
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer(0.0)
+    # two diagonal checks and one pair, all parameter-free
+    assert layers["compat.is_compatible.calls"] == 3
+    assert layers["compat.bindings_checked"] == 3
+    assert layers["compat.mixed_residual.calls"] == 3
+    # one Leibniz residual per table, seen by the tracer
+    assert layers["algebra.leibniz_residual.calls"] == 2

@@ -340,6 +340,19 @@ def test_shards_below_one_is_usage_error(capsys):
         assert "--shards" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "L1", "--op", "nijenhuis", "--limit", "-1"),
+    ("coverage", "L1", "--op", "nijenhuis", "--cap", "-1"),
+    ("compat", "L1", "L3", "--lambda-samples", "-4"),
+    ("compat-scan", "--lambda-samples", "-4"),
+], ids=["limit", "cap", "compat-lambda-samples", "scan-lambda-samples"])
+def test_negative_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative integer" in err
+
+
 def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch):
     sizes = []
 
@@ -477,6 +490,20 @@ def test_compat_scan_params_pool(capsys, small_data_dir):
     code, out, _ = run(capsys, "compat-scan", "--params", "mu=0,1",
                        "--data-dir", str(small_data_dir), "--format", "json")
     assert code == 0
+
+
+@pytest.mark.parametrize("pool,reason", [
+    ("mu=i", "must be real"),
+    ("mu=1+i", "must be real"),
+    ("mu=0,2*i+5", "must be real"),
+    ("nu=3", "no table has a parameter 'nu'"),
+])
+def test_compat_scan_params_refusals(capsys, small_data_dir, pool, reason):
+    code, out, err = run(capsys, "compat-scan", "--params", pool,
+                         "--data-dir", str(small_data_dir))
+    assert code == 2
+    assert out == ""
+    assert reason in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leibnizalg.algebra as algebra
 import leibnizalg.compat as compat
 from leibnizalg.algebra import (
     AlgebraTable,
     CatalogError,
+    ParamSpec,
     ResidualTensor,
     catalog_map,
     combined_bracket,
@@ -153,34 +155,42 @@ def test_diagonal_is_compatible(cmap):
         assert is_compatible(cmap[name], cmap[name])
 
 
-def test_leibniz_cache_computes_each_table_once(cmap, monkeypatch):
+@pytest.fixture
+def leibniz_calls(monkeypatch):
+    """Names of the tables whose Leibniz residual is computed, in order."""
     computed = []
+    original = algebra.leibniz_residual
 
     def counting(table):
         computed.append(table.name)
-        return leibniz_residual(table)
+        return original(table)
 
-    monkeypatch.setattr(compat, "leibniz_residual", counting)
-    cache = {}
-    assert is_compatible(cmap["L1"], cmap["L3"], leibniz=cache)
-    assert is_compatible(cmap["L3"], cmap["L1"], leibniz=cache)
-    assert is_compatible(cmap["L1"], cmap["L1"], leibniz=cache)
-    assert computed == ["L1", "L3"]
-    # the renamed copy of L4 is a different table from L4
-    assert is_compatible(cmap["L4"], cmap["L4"], leibniz=cache)
-    assert computed == ["L1", "L3", "L4", "L4"]
-    assert len(cache) == 4 and all(cache.values())
+    monkeypatch.setattr(algebra, "leibniz_residual", counting)
+    return computed
 
 
-def test_leibniz_cache_keeps_failing_verdicts(cmap):
+def test_leibniz_cache_computes_each_table_once(leibniz_calls):
+    fresh = catalog_map()           # no verdicts kept from earlier tests
+    assert is_compatible(fresh["L1"], fresh["L3"])
+    assert is_compatible(fresh["L3"], fresh["L1"])
+    assert is_compatible(fresh["L1"], fresh["L1"])
+    assert leibniz_calls == ["L1", "L3"]
+    # each call renames a fresh copy of L4, a table of its own
+    assert is_compatible(fresh["L4"], fresh["L4"])
+    assert is_compatible(fresh["L4"], fresh["L4"])
+    assert leibniz_calls == ["L1", "L3", "L4", "L4", "L4"]
+
+
+def test_leibniz_cache_keeps_failing_verdicts(leibniz_calls):
     bad = AlgebraTable("bad", 4, [[[RatExpr.const(int(i == j == k == 0))
                                     for k in range(4)] for j in range(4)]
                                   for i in range(4)])
-    cache = {}
+    good = catalog_map()["L1"]
     for _ in range(2):
-        assert not is_compatible(bad, cmap["L1"], leibniz=cache)
-        assert not is_compatible(cmap["L1"], bad, leibniz=cache)
-    assert sorted(cache.values()) == [False, True]
+        assert not is_compatible(bad, good)
+        assert not is_compatible(good, bad)
+    assert not bad.is_leibniz() and good.is_leibniz()
+    assert leibniz_calls == ["bad", "L1"]
 
 
 def test_scan_calls_is_compatible_through_the_module(cmap, monkeypatch):
@@ -198,13 +208,48 @@ def test_scan_calls_is_compatible_through_the_module(cmap, monkeypatch):
     rep = compat_scan(tables, claimed=[])
     assert all(len(args) == 2 for args in seen)
     bound = sum(1 for a, b in seen if a.is_bound() and b.is_bound())
-    # 3 diagonal checks (L4 symbolic); L1-L3 at its one empty binding and
-    # again as the final check; L1-L4 and L3-L4 at mu = 0 and 1, and only
-    # the passing L3-L4 symbolically
-    assert len(seen) == 3 + 2 + 2 + 3
-    assert bound == 2 + 2 + 2 + 2
+    # 3 diagonal checks (L4 symbolic); L1-L3 once, at its one empty
+    # binding; L1-L4 and L3-L4 at mu = 0 and 1, and only the passing
+    # L3-L4 symbolically
+    assert len(seen) == 3 + 1 + 2 + 3
+    assert bound == 2 + 1 + 2 + 2
     assert rep.diagonal_compatible == ["L1", "L3", "L4"]
     assert rep.compatible == [("L1", "L3"), ("L3", "L4")]
+
+
+def test_scan_binds_each_table_once_per_sample(monkeypatch):
+    constant_binds = []
+    original = compat.bind_params
+
+    def observed(table, bindings):
+        if not any(v.params() for v in bindings.values()):
+            constant_binds.append((table.name, str(bindings)))
+        return original(table, bindings)
+
+    monkeypatch.setattr(compat, "bind_params", observed)
+    rep = compat_scan(catalog_map().values(), claimed=[])
+    # L4 at mu = 0, 1; L13, L14 at 0, 1, 2, 5; L20 at 0, 2, 5
+    assert len(constant_binds) == 13
+    assert len(set(constant_binds)) == 13
+    assert len(rep.pairs_checked) == 210 and len(rep.compatible) == 59
+
+
+def test_scan_reports_per_value_exceptions_with_renamed_keys(cmap):
+    # [e1, e1] = mu e2 shares L4's parameter name and is compatible with
+    # L4 only where it vanishes
+    c = [[[RE_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    c[0][0][1] = RatExpr.var("mu")
+    x = AlgebraTable("X", 4, c, [ParamSpec("mu", "C")])
+    rep = compat_scan([cmap["L4"], x], claimed=[])
+    assert rep.diagonal_compatible == ["L4", "X"]
+    assert rep.compatible == []
+    assert rep.failing == [{"pair": ["X", "L4"],
+                            "witness": {"i": 1, "j": 1, "k": 1, "q": 4,
+                                        "value": "mu*mu_b"}}]
+    assert rep.per_value_exceptions == [
+        {"pair": ["X", "L4"],
+         "passing_bindings": [{"mu": "0", "mu_b": "0"},
+                              {"mu": "1", "mu_b": "0"}]}]
 
 
 # ---------------------------------------------------------------------------
