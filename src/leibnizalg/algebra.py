@@ -166,6 +166,7 @@ def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
 
     Values must be constants inside the parameter's admissible set, or bare
     parameter names (RatExpr variables), which rename the parameter.
+    Entries without a bound name are kept as they are.
     """
     specs = {p.name: p for p in table.params}
     for name in bindings:
@@ -192,7 +193,10 @@ def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
         else:
             raise ValueError("bindings must be constants or bare names")
         sub[p.name] = value
-    c = [[[e.substitute(sub) for e in row] for row in plane] for plane in table.c]
+    c = [[list(row) for row in plane] for plane in table.c]
+    for i, j, k, e in table._nonzero:
+        if not e.params().isdisjoint(sub):
+            c[i][j][k] = e.substitute(sub)
     return AlgebraTable(table.name, table.dim, c, new_params)
 
 

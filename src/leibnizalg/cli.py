@@ -39,12 +39,13 @@ from .compat import (
     load_claimed_pairs,
     pair_witness,
 )
-from .exact import ExactError, ExprSyntaxError, parse_expr, reduce_mod_p
+from .exact import ExactError, ExprSyntaxError, parse_expr
 from .fp import (
     DEFAULT_BUDGET,
     FpMatrix,
     RefusedSize,
     _check_prime,
+    bind_family,
     coverage,
     sweep_kernel,
     sweep_shard,
@@ -192,7 +193,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_check_leibniz(args) -> int:
-    table = _bind(_table(args, args.name), _parse_params(args.param))
+    table = _table(args, args.name)
     reading = "shipped"
     if args.as_printed:
         errata = load_errata(_base_dir(args) / "errata.json")
@@ -201,8 +202,9 @@ def cmd_check_leibniz(args) -> int:
         if match is None:
             raise UsageError(
                 f"no alternative printed reading recorded for {args.name}")
-        table = printed_variant(_table(args, args.name), match)
+        table = printed_variant(table, match)
         reading = "as-printed"
+    table = _bind(table, _parse_params(args.param))
     hit = leibniz_residual(table).first_failure()
     payload = {"algebra": args.name, "reading": reading,
                "residual_zero": hit is None, "witness": witness_dict(hit)}
@@ -401,18 +403,13 @@ def cmd_coverage(args) -> int:
     verified = []
     for f in fams:
         try:
-            if verify_family(source, f).holds:
-                verified.append(f)
+            holds = verify_family(source, f).holds
         except ExactError:
             continue
-    fixed = {}
-    for name, value in params.items():
-        try:
-            fixed[name] = reduce_mod_p(value, p)
-        except ExactError:
-            continue
+        if holds:
+            verified.append(bind_family(f, params))
     rep = coverage(table, kind, p, verified, solutions=sols,
-                   budget=args.budget, cap=args.cap, fixed=fixed or None)
+                   budget=args.budget, cap=args.cap)
     payload = rep.as_dict()
     lines = [f"{rep.algebra} {rep.kind} over F_{rep.p}: "
              f"{rep.covered} of {rep.total_solutions} solutions covered "

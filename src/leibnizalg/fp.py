@@ -27,6 +27,10 @@ contractions as AND/XOR over planes and still reads only the structure
 constants mod 2.  For p > 2 the integer kernels are used; a sweep is refused
 when the worst case of their intermediates does not fit their dtype.
 
+Charts arrive with the table's parameter values already substituted
+exactly by bind_family, so every name still free in a chart is an operator
+parameter that runs over F_p or is read off a matrix.
+
 Charts are evaluated with plain Python ints.  On first use at a prime p, a
 family's chart is compiled once: the numerator and denominator of every
 constraint and nonzero entry become Gaussian-integer terms over the free
@@ -215,14 +219,8 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
                          f"{table.param_names()}")
     if kind.weight is not None and kind.weight.params():
         raise ValueError("the weight must be bound for finite-field work")
-    n = table.dim
-    if n > 9:
-        raise ValueError("unknown-name digits support dimension at most 9")
     sys = build_system(table, kind)
-
-    def flat(name: str) -> int:
-        return (int(name[-2]) - 1) * n + (int(name[-1]) - 1)
-
+    flat = {name: t for t, name in enumerate(sys.unknowns)}  # row-major
     mono_ids = {}
     monos = []
     columns = []
@@ -233,7 +231,7 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
             cval = reduce_mod_p(RatExpr.const(coef / dval), p)
             if cval == 0:
                 continue
-            key = tuple((flat(nm), e) for nm, e in mono)
+            key = tuple((flat[nm], e) for nm, e in mono)
             mid = mono_ids.get(key)
             if mid is None:
                 mid = mono_ids[key] = len(monos)
@@ -245,7 +243,7 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
     for k, terms in enumerate(columns):
         for mid, cval in terms.items():
             coeffs[mid, k] = cval
-    return CompiledSystem(p, n, tuple(monos), coeffs)
+    return CompiledSystem(p, table.dim, tuple(monos), coeffs)
 
 
 def _digit_block(idx: np.ndarray, n2: int, p: int) -> np.ndarray:
@@ -413,9 +411,9 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     """The evaluation kernel of one sweep, built once, after every refusal.
 
     Every refusal of a sweep is made here, before any matrix is evaluated:
-    a field that is not a supported prime, an unbound table or weight, a
-    sweep past the budget, an integer kernel that could overflow at this p,
-    and an unknown path.  The kernel maps a digit block to the mask of its
+    a field that is not a supported prime, an unbound table, a weight that
+    is unbound or has no value mod p, a sweep past the budget, an integer
+    kernel that could overflow at this p, and an unknown path.  The kernel maps a digit block to the mask of its
     solutions.  It is a partial of a module-level mask function, so it
     pickles: a process pool sends this one kernel to every shard job.
     """
@@ -423,8 +421,10 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     if not table.is_bound():
         raise ValueError(f"{table.name} still has unbound parameters "
                          f"{table.param_names()}")
-    if kind.weight is not None and kind.weight.params():
-        raise ValueError("the weight must be bound for finite-field work")
+    if kind.weight is not None:
+        if kind.weight.params():
+            raise ValueError("the weight must be bound for finite-field work")
+        reduce_mod_p(kind.weight, p)
     n = table.dim
     total = p ** (n * n)
     if total > budget:
@@ -539,7 +539,6 @@ class _ChartForm:
     """
 
     p: int
-    slots: dict
     constraints: tuple
     entries: tuple
     read_off: tuple
@@ -591,7 +590,7 @@ def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
             read_off.append((r, c, slots[mono[0][0]], pow(scale, -1, p)))
     constraints = tuple(_int_expr(con, slots, label)
                         for con in fam.constraints)
-    return _ChartForm(p, slots, constraints, tuple(entries), tuple(read_off))
+    return _ChartForm(p, constraints, tuple(entries), tuple(read_off))
 
 
 def _chart_form(fam: OperatorFamily, p: int) -> _ChartForm:
@@ -662,12 +661,11 @@ def _eval_chart(form: _ChartForm, values):
     return m
 
 
-def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
+def _chart_points(fam: OperatorFamily, p: int, *,
                   forced: dict | None = None, budget: int = 0,
                   refusal: str = "", rng: random.Random | None = None):
     """Counter values of the chart (None outside its domain) at the
-    assignments that take fixed's values mod p, then forced's (keyed by
-    slot).
+    assignments that take forced's values (keyed by slot).
 
     Without rng the names left open run over all of F_p, and their p^k
     cases are refused past the budget with refusal, formatted with p, k,
@@ -676,12 +674,8 @@ def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
     """
     form = _chart_form(fam, p)
     values = [None] * len(fam.free)
-    for name, value in (fixed or {}).items():
-        if name in form.slots:
-            values[form.slots[name]] = value % p
     for slot, value in (forced or {}).items():
-        if values[slot] is None:
-            values[slot] = value
+        values[slot] = value
     rest = [s for s, v in enumerate(values) if v is None]
     if rng is not None:
         combos = iter(lambda: [rng.randrange(p) for _ in rest], None)
@@ -697,8 +691,7 @@ def _chart_points(fam: OperatorFamily, p: int, fixed: dict | None, *,
 
 
 def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
-                     budget: int = DEFAULT_BUDGET, fixed: dict | None = None
-                     ) -> bool:
+                     budget: int = DEFAULT_BUDGET) -> bool:
     """Whether some admissible F_p assignment of the chart evaluates to M.
 
     Parameters standing alone in an entry are read off first; any that
@@ -713,20 +706,19 @@ def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
     forced = {slot: M.entries[r][c] * inv % p
               for r, c, slot, inv in _chart_form(fam, p).read_off}
     return M.index() in _chart_points(
-        fam, p, fixed, forced=forced, budget=budget,
+        fam, p, forced=forced, budget=budget,
         refusal="membership fallback needs {p}^{k} cases for {label}, "
                 "over the budget {budget}")
 
 
 def family_solution_set(fam: OperatorFamily, p: int, *,
-                        budget: int = DEFAULT_BUDGET,
-                        fixed: dict | None = None) -> set:
+                        budget: int = DEFAULT_BUDGET) -> set:
     """All counter values the chart reaches over F_p (admissible points)."""
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
     points = set(_chart_points(
-        fam, p, fixed, budget=budget,
+        fam, p, budget=budget,
         refusal="enumerating {p}^{k} assignments for {label} is over the "
                 "budget {budget}"))
     points.discard(None)
@@ -734,14 +726,13 @@ def family_solution_set(fam: OperatorFamily, p: int, *,
 
 
 def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
-                    seed: int = 0, budget: int = DEFAULT_BUDGET,
-                    fixed: dict | None = None) -> dict:
+                    seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """chart_membership must accept every point the chart itself produces."""
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
-    points = _chart_points(fam, p, fixed, rng=random.Random(seed))
-    if set(fam.free) <= set(fixed or ()):
+    points = _chart_points(fam, p, rng=random.Random(seed))
+    if not fam.free:
         samples = 1   # nothing is left open, so there is only one point
     checked = 0
     attempts = 0
@@ -751,7 +742,7 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
         if m is None:
             continue
         M = FpMatrix.from_index(m, len(fam.chart), p)
-        if not chart_membership(fam, M, budget=budget, fixed=fixed):
+        if not chart_membership(fam, M, budget=budget):
             return {"family": fam.label(), "checked": checked, "ok": False,
                     "counterexample": m}
         checked += 1
@@ -794,17 +785,17 @@ class CoverageReport:
 
 
 def coverage(table: AlgebraTable, kind: OperatorKind, p: int, families, *,
-             solutions, budget: int = DEFAULT_BUDGET, cap: int = 32,
-             fixed: dict | None = None) -> CoverageReport:
+             solutions, budget: int = DEFAULT_BUDGET, cap: int = 32
+             ) -> CoverageReport:
     """Compare a sweep's solutions with the points the given charts reach.
 
     solutions is the ascending array of solution counter values from
     solution_indices (or a merged sharded sweep) for this table, kind and
     p; coverage never sweeps.  families should be the verified
-    (non-malformed) families for this algebra and kind; charts must
-    already match the table's binding, or fixed must supply F_p values for
-    bound table parameters appearing in the charts.  budget bounds the
-    enumeration of each chart: a chart past it is skipped as RefusedSize.
+    (non-malformed) families for this algebra and kind, with the table's
+    binding already substituted into their charts by bind_family.  budget
+    bounds the enumeration of each chart: a chart past it is skipped as
+    RefusedSize.
     """
     sols = np.asarray(solutions, dtype=np.int64)
     solution_set = set(sols.tolist())
@@ -819,7 +810,7 @@ def coverage(table: AlgebraTable, kind: OperatorKind, p: int, families, *,
             skipped.append({"family": fam.label(), "reason": "malformed"})
             continue
         try:
-            points = family_solution_set(fam, p, budget=budget, fixed=fixed)
+            points = family_solution_set(fam, p, budget=budget)
         except (NonRealValue, NonInvertibleDenominator, RefusedSize) as err:
             skipped.append({"family": fam.label(),
                             "reason": type(err).__name__})

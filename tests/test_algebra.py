@@ -190,6 +190,18 @@ class TestParams:
         assert t.param_names() == ["mu_b"]
         assert t.c[1][0][2] == parse_expr("-mu_b")
 
+    def test_only_entries_with_a_bound_name_are_substituted(self, catalog):
+        t = catalog["L13"]
+        two = {"mu": RatExpr.const(2)}
+        bound = bind_params(t, two)
+        for plane, bound_plane in zip(t.c, bound.c):
+            for row, bound_row in zip(plane, bound_plane):
+                for e, got in zip(row, bound_row):
+                    if "mu" in e.params():
+                        assert got == e.substitute(two)
+                    else:
+                        assert got is e
+
     def test_unknown_param(self, catalog):
         with pytest.raises(ValueError):
             bind_params(catalog["L1"], {"mu": RatExpr.const(0)})

@@ -1,12 +1,14 @@
-"""The names that the benchmark's tracer hooks still exist in the package.
+"""The benchmark's calls into the package still resolve and still agree.
 
-bench/tracing.py wraps functions and methods of leibnizalg by name.  A
-rename in the package would otherwise show only as a crash of a traced
-benchmark run (bench/run.py --trace 1), so these tests load the tracer by
-path and check its hooks against the package.
+bench/tracing.py wraps functions and methods of leibnizalg by name, and
+bench/workloads.py calls the library with fixed signatures.  A rename or a
+signature change in the package would otherwise show only as a crash or as
+failed items of a benchmark run (bench/run.py), so these tests load the
+tracer and the workloads by path and check them against the package.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,14 +18,28 @@ import leibnizalg
 import leibnizalg.cli  # noqa: F401  (the tracer patches every module)
 from leibnizalg.algebra import catalog_map
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # workloads.py imports its helpers as the top-level module "common";
+    # both stay registered only for the test
+    for name in ("common", "workloads"):
+        spec = importlib.util.spec_from_file_location(name,
+                                                      BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
     return module
 
 
@@ -85,3 +101,13 @@ def test_traced_scan_is_counted_through_the_module_globals(tracing):
     assert layers["compat.mixed_residual.calls"] == 3
     # one Leibniz residual per table, seen by the tracer
     assert layers["algebra.leibniz_residual.calls"] == 2
+
+
+@pytest.mark.parametrize("name", ["f2-dual-sweep", "chart-coverage"])
+def test_workload_pass_agrees_with_the_reference(workloads, name):
+    ref = json.loads((BENCH / "reference.json").read_text())
+    _, setup, run_pass = workloads.WORKLOADS[name]
+    items, _ = setup(leibnizalg, ref, 1)
+    out = run_pass(leibnizalg, ref, items, 1)
+    assert out.attempted > 0
+    assert out.failures == []

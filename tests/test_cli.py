@@ -114,6 +114,18 @@ def test_check_leibniz_printed_variant_fails_at_recorded_triple(capsys):
     assert (w["i"], w["j"], w["k"]) == (1, 1, 2)
 
 
+def test_as_printed_binds_params_on_the_printed_variant(capsys):
+    # alpha is a parameter of L14's printed reading only
+    code, out, _ = run(capsys, "check-leibniz", "L14", "--as-printed",
+                       "--param", "alpha=0")
+    assert code == 0
+    assert "holds" in out
+    code, _, err = run(capsys, "check-leibniz", "L4", "--as-printed",
+                       "--param", "mu=7")
+    assert code == 2
+    assert "admissible" in err
+
+
 def test_as_printed_without_recorded_variant_is_usage_error(capsys):
     code, _, err = run(capsys, "check-leibniz", "L1", "--as-printed")
     assert code == 2

@@ -201,6 +201,13 @@ def test_sweep_rejects_unbound_table_and_bad_flags(cmap):
     for path in ("compiled", "direct"):
         with pytest.raises(ValueError):
             sweep_kernel(cmap["L1"], symbolic, 2, path=path)
+        # a weight with no value mod p is refused before any block runs
+        with pytest.raises(NonInvertibleDenominator):
+            sweep_kernel(cmap["L1"], make_kind("rota-baxter", "1/2"), 2,
+                         path=path)
+        with pytest.raises(NonRealValue):
+            sweep_kernel(cmap["L1"], make_kind("rota-baxter", "i"), 2,
+                         path=path)
 
 
 def test_nonreducible_tables_are_rejected(cmap):
@@ -551,9 +558,9 @@ def _outcome(fn):
 
 
 def _at(fam, p, assignment):
-    """The compiled chart at one point, through the public API."""
-    points = family_solution_set(fam, p, fixed=assignment)
-    return points.pop() if points else None
+    """The compiled chart's counter value at one point, None outside it."""
+    return fp._eval_chart(fp._chart_form(fam, p),
+                          [assignment[name] for name in fam.free])
 
 
 def _one_by_one(e, *, constraint=False):
@@ -647,14 +654,14 @@ def test_first_inadmissible_value_wins_over_a_later_non_real_one():
     fam = OperatorFamily("T", "nijenhuis", 1,
                          [[parse_expr(e) for e in row] for row in rows],
                          ("x",), (), False)
-    assert family_solution_set(fam, 2, fixed={"x": 1}) == set()
+    assert _at(fam, 2, {"x": 1}) is None
     with pytest.raises(NonRealValue):
-        family_solution_set(fam, 3, fixed={"x": 1})
+        _at(fam, 3, {"x": 1})
     vanishing = OperatorFamily("T", "nijenhuis", 2, [[parse_expr("i")]],
                                ("x",), (parse_expr("x"),), False)
-    assert family_solution_set(vanishing, 2, fixed={"x": 0}) == set()
+    assert _at(vanishing, 2, {"x": 0}) is None
     with pytest.raises(NonRealValue):
-        family_solution_set(vanishing, 2, fixed={"x": 1})
+        _at(vanishing, 2, {"x": 1})
 
 
 def test_compiled_chart_is_kept_per_prime(family_index):
@@ -733,7 +740,7 @@ def test_coverage_skips_charts_with_imaginary_entries(cmap, families):
     fams = _verified(cmap, families, "L14", "rota-baxter")
     assert fams, "expected verified charts here"
     kind = make_kind("rota-baxter")
-    rep = coverage(table, kind, 2, fams, fixed={"mu": 0},
+    rep = coverage(table, kind, 2, fams,
                    solutions=solution_indices(table, kind, 2))
     reasons = {s["reason"] for s in rep.families_skipped}
     assert "NonRealValue" in reasons
