@@ -24,8 +24,19 @@ bit plane, a product is an AND of planes and a sum is an XOR.  The compiled
 path ANDs the entries of each monomial (x^e = x over F_2) and XORs the
 monomials with odd coefficient into each equation; the direct path runs its
 contractions as AND/XOR over planes and still reads only the structure
-constants mod 2.  For p > 2 the integer kernels are used; a sweep is refused
-when the worst case of their intermediates does not fit their dtype.
+constants mod 2.
+
+At p = 3 both paths are bitsliced too, after Boothby and Bradshaw
+(arXiv:0901.1413): a value is two one-hot planes (ones, twos), a sum takes
+six boolean operations and a product four ANDs and two ORs, and negation
+swaps the planes.  The compiled path ANDs the nonzero planes of a
+monomial's entries and XORs the sign planes of its odd-exponent entries
+(x^2 is the indicator of x != 0), negates the terms with coefficient 2 and
+sums each equation pairwise; the direct path runs the integer kernel's
+contractions over trit planes and reads only the structure constants and
+the weight mod 3.  For 5 <= p <= 13 the integer kernels are used; a sweep
+is refused when the worst case of their intermediates does not fit their
+dtype.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -200,6 +211,62 @@ class CompiledSystem:
         return (np.array(positions, dtype=np.intp),
                 np.array(mono_starts, dtype=np.intp), terms, eq_starts)
 
+    @cached_property
+    def f3_terms(self) -> tuple:
+        """Gather arrays and a summation plan that evaluate the system by
+        trit planes over F_3.
+
+        Returns (positions, mono_starts, odd, odd_starts, terms, levels).
+        Monomial t is nonzero where all of the planes
+        positions[mono_starts[t]:mono_starts[t + 1]] are, and its sign is
+        the XOR of the sign planes odd[odd_starts[t]:odd_starts[t + 1]],
+        the entries of odd exponent; each odd segment opens with the index
+        n*n of an all-zero sign plane, so none is empty.  terms indexes the
+        monomials' one-hot planes stacked as (ones, twos): a coefficient 2
+        indexes monomial t at M + t, which swaps its planes and so negates
+        it.  Each of the levels (left, right, single) adds the rows left to
+        the rows right pairwise and carries the rows single over, until one
+        row per equation is left; the rows are not in equation order, and
+        need not be, since the mask only asks whether any of them is
+        nonzero.
+        """
+        n2 = self.n * self.n
+        positions, mono_starts, odd, odd_starts = [], [], [], []
+        for mono in self.monos:
+            mono_starts.append(len(positions))
+            positions.extend(sorted({pos for pos, _ in mono}))
+            odd_starts.append(len(odd))
+            odd.append(n2)
+            odd.extend(sorted(pos for pos, e in mono if e % 2))
+        M = len(self.monos)
+        segments, terms = [], []
+        for column in self.coeffs.T:
+            mids = np.flatnonzero(column)
+            segments.append(list(range(len(terms), len(terms) + mids.size)))
+            terms.extend(mid if column[mid] == 1 else M + mid
+                         for mid in mids.tolist())
+        levels = []
+        while any(len(seg) > 1 for seg in segments):
+            pairs = sum(len(seg) // 2 for seg in segments)
+            left, right, single, regrouped = [], [], [], []
+            for seg in segments:
+                half = len(seg) // 2
+                new = list(range(len(left), len(left) + half))
+                left += seg[0:2 * half:2]
+                right += seg[1:2 * half:2]
+                if len(seg) % 2:
+                    new.append(pairs + len(single))
+                    single.append(seg[-1])
+                regrouped.append(new)
+            segments = regrouped
+            levels.append(tuple(np.array(a, dtype=np.intp)
+                                for a in (left, right, single)))
+        return (np.array(positions, dtype=np.intp),
+                np.array(mono_starts, dtype=np.intp),
+                np.array(odd, dtype=np.intp),
+                np.array(odd_starts, dtype=np.intp),
+                np.array(terms, dtype=np.intp), tuple(levels))
+
     def worst_intermediate(self) -> int:
         """Largest value the integer kernel can hold before reducing mod p:
         an equation's sum with every entry at p - 1.  Every term is
@@ -273,6 +340,38 @@ def _bit_planes(digits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def _trit_planes(digits: np.ndarray) -> tuple:
+    """A 0/1/2 digit block as one-hot bit planes (ones, twos): bit i of row
+    t's words in ones (twos) is set when digit t of matrix i is 1 (2).
+    Bits past the last matrix are 0, the value 0."""
+    return _bit_planes(digits == 1), _bit_planes(digits == 2)
+
+
+def _f3_add(x: tuple, y: tuple) -> tuple:
+    """Sum of one-hot trit planes (ones, twos), six boolean operations
+    (Kawahara, Aoki and Takagi; Boothby and Bradshaw, arXiv:0901.1413)."""
+    t = (x[0] | y[1]) ^ (x[1] | y[0])
+    return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
+
+
+def _f3_mul(x: tuple, y: tuple) -> tuple:
+    """Product of one-hot trit planes: 1 where the values agree, 2 where
+    they differ, 0 where either is 0."""
+    return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
+
+
+def _f3_sum(x: tuple, axis: int) -> tuple:
+    """Sum of one-hot trit planes along an axis."""
+    acc = tuple(np.take(a, 0, axis=axis) for a in x)
+    for i in range(1, x[0].shape[axis]):
+        acc = _f3_add(acc, tuple(np.take(a, i, axis=axis) for a in x))
+    return acc
+
+
+def _f3_differs(x: tuple, y: tuple) -> np.ndarray:
+    return (x[0] ^ y[0]) | (x[1] ^ y[1])
+
+
 def _solution_bits(bad: np.ndarray, rows: int) -> np.ndarray:
     """Mask of the matrices whose bit is clear in the plane of failures."""
     return np.unpackbits(bad.view(np.uint8), count=rows,
@@ -282,6 +381,8 @@ def _solution_bits(bad: np.ndarray, rows: int) -> np.ndarray:
 def _compiled_mask(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     if cs.p == 2:
         return _compiled_mask_f2(cs, digits)
+    if cs.p == 3:
+        return _compiled_mask_f3(cs, digits)
     return _compiled_mask_int(cs, digits)
 
 
@@ -304,6 +405,26 @@ def _compiled_mask_f2(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     monos = np.bitwise_and.reduceat(planes[positions], mono_starts, axis=0)
     eqs = np.bitwise_xor.reduceat(monos[terms], eq_starts, axis=0)
     return _solution_bits(np.bitwise_or.reduce(eqs, axis=0), digits.shape[0])
+
+
+def _compiled_mask_f3(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+    positions, mono_starts, odd, odd_starts, terms, levels = cs.f3_terms
+    if terms.size == 0:
+        return np.ones(digits.shape[0], dtype=bool)
+    ones, twos = _trit_planes(digits)
+    nonzero = np.bitwise_and.reduceat((ones | twos)[positions], mono_starts,
+                                      axis=0)
+    signs = np.concatenate([twos, np.zeros_like(twos[:1])])
+    sign = np.bitwise_xor.reduceat(signs[odd], odd_starts, axis=0)
+    mono_twos = nonzero & sign
+    mono_ones = nonzero ^ mono_twos
+    x = (np.concatenate([mono_ones, mono_twos])[terms],
+         np.concatenate([mono_twos, mono_ones])[terms])
+    for left, right, single in levels:
+        pairs = _f3_add((x[0][left], x[1][left]), (x[0][right], x[1][right]))
+        x = tuple(np.concatenate([s, a[single]]) for s, a in zip(pairs, x))
+    bad = np.bitwise_or.reduce(x[0] | x[1], axis=0)
+    return _solution_bits(bad, digits.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +453,8 @@ def _direct_mask(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
                  p: int, n: int) -> np.ndarray:
     if p == 2:
         return _direct_mask_f2(cm, kind, digits, n)
+    if p == 3:
+        return _direct_mask_f3(cm, kind, digits, n)
     return _direct_mask_int(cm, kind, digits, p, n)
 
 
@@ -394,6 +517,50 @@ def _direct_mask_f2(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
     return _solution_bits(bad, digits.shape[0])
 
 
+def _direct_mask_f3(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
+                    n: int) -> np.ndarray:
+    """_direct_mask_int at p = 3 over one-hot trit planes (ones, twos): P
+    holds the planes of entry (a, i) at [a, i], and C the structure
+    constants mod 3, all ones in the plane of their value.  Axes are named
+    as in _direct_mask_f2."""
+    P = tuple(a.reshape(n, n, -1) for a in _trit_planes(digits))
+    full = ~np.uint64(0)
+    C = tuple(np.where(cm % 3 == v, full, np.uint64(0))[..., None]
+              for v in (1, 2))
+
+    def expand(x, index):
+        return tuple(a[index] for a in x)
+
+    P_ai = expand(P, np.s_[:, :, None, None])
+    bte = _f3_sum(_f3_mul(P_ai, expand(C, np.s_[:, None])), 0)  # a,i,j,k
+    bet = _f3_sum(_f3_mul(expand(P, np.s_[None, :, :, None]),
+                          expand(C, np.s_[:, :, None])), 1)     # i,b,j,k
+    btt = _f3_sum(_f3_mul(P_ai, expand(bet, np.s_[:, None])), 0)  # a,i,j,k
+    P_qk = expand(P, np.s_[None, None])
+
+    def tap(tensor):                                            # i,j,q,k
+        return _f3_sum(_f3_mul(P_qk, expand(tensor, np.s_[:, :, None])), 3)
+
+    def neg(x):
+        return x[1], x[0]
+
+    if kind.name == "rota-baxter":
+        inner = _f3_add(bte, bet)
+        w = reduce_mod_p(kind.weight, 3)
+        if w:
+            inner = _f3_add(inner, C if w == 1 else neg(C))
+        bad = _f3_differs(btt, tap(inner))
+    elif kind.name == "nijenhuis":
+        tb = _f3_sum(_f3_mul(P_qk, expand(C, np.s_[:, :, None])), 3)
+        bad = _f3_differs(btt, tap(_f3_add(_f3_add(bte, bet), neg(tb))))
+    elif kind.name == "reynolds":
+        bad = _f3_differs(btt, tap(_f3_add(_f3_add(bet, bte), neg(btt))))
+    else:
+        bad = _f3_differs(btt, tap(bte)) | _f3_differs(btt, tap(bet))
+    bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
+    return _solution_bits(bad, digits.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # sweeping
 
@@ -433,11 +600,11 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
             f"{budget}; pass a larger budget to allow it")
     if path == "compiled":
         cs = compile_system(table, kind, p)
-        if p > 2:
+        if p > 3:
             _refuse_width(cs.worst_intermediate(), np.int32, path, p)
         return partial(_compiled_mask, cs)
     if path == "direct":
-        if p > 2:
+        if p > 3:
             _refuse_width(_direct_worst(n, p), np.int16, path, p)
         return partial(_direct_mask, _table_mod_p(table, p), kind, p=p, n=n)
     raise ValueError(f"unknown evaluation path {path!r}")

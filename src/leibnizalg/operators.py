@@ -146,19 +146,26 @@ class EquationSystem:
         return max((d for d in degs if d >= 0), default=0)
 
 
+def unknown_name(kind_name: str, r: int, c: int, n: int) -> str:
+    """Name of the unknown at entry (r, c), 0-based, of an n x n operator:
+    the kind's letter, then row and column from 1, as in k23.  From
+    dimension 10 on they are joined by an underscore (k1_11), so that
+    (1, 11) and (11, 1) keep distinct names."""
+    sep = "_" if n >= 10 else ""
+    return f"{UNKNOWN_LETTER[kind_name]}{r + 1}{sep}{c + 1}"
+
+
 def unknown_matrix(n: int, kind_name: str):
     """Fresh unknown names laid out as a matrix; entry (j,i) is named after
     row j and column i, matching T(e_i) = sum_j T[j][i] e_j."""
-    letter = UNKNOWN_LETTER[kind_name]
-    return [[RatExpr.var(f"{letter}{r + 1}{c + 1}") for c in range(n)]
+    return [[RatExpr.var(unknown_name(kind_name, r, c, n)) for c in range(n)]
             for r in range(n)]
 
 
 def build_system(table: AlgebraTable, kind: OperatorKind) -> EquationSystem:
     n = table.dim
     T = unknown_matrix(n, kind.name)
-    letter = UNKNOWN_LETTER[kind.name]
-    unknowns = tuple(f"{letter}{r + 1}{c + 1}"
+    unknowns = tuple(unknown_name(kind.name, r, c, n)
                      for r in range(n) for c in range(n))
     equations, denominators, labels = [], [], []
     for label, entry in operator_residual(table, kind, T).walk():

@@ -103,7 +103,8 @@ def test_traced_scan_is_counted_through_the_module_globals(tracing):
     assert layers["algebra.leibniz_residual.calls"] == 2
 
 
-@pytest.mark.parametrize("name", ["f2-dual-sweep", "chart-coverage"])
+@pytest.mark.parametrize("name", ["f2-dual-sweep", "f3-shard-sweep",
+                                  "chart-coverage"])
 def test_workload_pass_agrees_with_the_reference(workloads, name):
     ref = json.loads((BENCH / "reference.json").read_text())
     _, setup, run_pass = workloads.WORKLOADS[name]

@@ -9,7 +9,6 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from leibnizalg import fp
 from leibnizalg.algebra import (
@@ -239,16 +238,18 @@ def test_compiled_system_shape(cmap):
 
 
 # ---------------------------------------------------------------------------
-# bitsliced F_2 kernels against the integer kernels
+# bitsliced F_2 and F_3 kernels against the integer kernels
 
 @st.composite
-def mod2_tables(draw):
-    """A random table of 0/1 structure constants (not necessarily Leibniz:
-    the kernels evaluate the operator identity for any bracket)."""
+def mod_tables(draw, p):
+    """A random table of structure constants in [0, p) (not necessarily
+    Leibniz: the kernels evaluate the operator identity for any bracket).
+    Like the catalog's tables, many are sparse."""
     n = draw(st.integers(min_value=2, max_value=4))
-    bits = draw(st.lists(st.integers(0, 1), min_size=n ** 3,
-                         max_size=n ** 3))
-    c = [[[RatExpr.const(bits[(i * n + j) * n + k]) for k in range(n)]
+    pool = (0,) * draw(st.sampled_from((1, 4, 16))) + tuple(range(1, p))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=n ** 3,
+                           max_size=n ** 3))
+    c = [[[RatExpr.const(digits[(i * n + j) * n + k]) for k in range(n)]
           for j in range(n)] for i in range(n)]
     return AlgebraTable("random", n, c)
 
@@ -261,30 +262,82 @@ def kinds(draw):
     return make_kind(name)
 
 
-def digit_blocks(n):
-    """0/1 digit blocks whose length is rarely a multiple of 64, so the
-    padding of the last plane word is exercised."""
-    return arrays(np.uint8, st.tuples(st.integers(1, 300), st.just(n * n)),
-                  elements=st.integers(0, 1))
+@st.composite
+def digit_blocks(draw, n, p):
+    """Digit blocks over F_p whose length is rarely a multiple of 64, so the
+    padding of the last plane word is exercised.  A block opens with the
+    scalar matrices c*I, and in most blocks many digits are 0, so that
+    solutions other than the zero matrix turn up."""
+    rows = draw(st.integers(1, 300))
+    zeros = draw(st.sampled_from((0, 0.5, 0.8, 0.95)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    digits = rng.integers(0, p, size=(rows, n * n))
+    digits[rng.random(digits.shape) < zeros] = 0
+    scalars = np.arange(p)[:, None] * np.eye(n, dtype=int).reshape(1, -1)
+    return np.concatenate([scalars, digits]).astype(
+        np.uint8 if p == 2 else np.int32)
 
 
 @settings(max_examples=30, deadline=None)
-@given(mod2_tables(), kinds(), st.data())
+@given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
     cs = compile_system(table, kind, 2)
-    digits = data.draw(digit_blocks(table.dim))
+    digits = data.draw(digit_blocks(table.dim, 2))
     assert (fp._compiled_mask_f2(cs, digits).tolist()
             == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
 
 
 @settings(max_examples=100, deadline=None)
-@given(mod2_tables(), kinds(), st.data())
+@given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
     n = table.dim
     cm = fp._table_mod_p(table, 2)
-    digits = data.draw(digit_blocks(n))
+    digits = data.draw(digit_blocks(n, 2))
     assert (fp._direct_mask_f2(cm, kind, digits, n).tolist()
             == fp._direct_mask_int(cm, kind, digits, 2, n).tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(mod_tables(3), kinds(), st.data())
+def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
+    cs = compile_system(table, kind, 3)
+    digits = data.draw(digit_blocks(table.dim, 3))
+    assert (fp._compiled_mask_f3(cs, digits).tolist()
+            == fp._compiled_mask_int(cs, digits).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mod_tables(3), kinds(), st.data())
+def test_f3_direct_kernel_matches_int_kernel(table, kind, data):
+    n = table.dim
+    cm = fp._table_mod_p(table, 3)
+    digits = data.draw(digit_blocks(n, 3))
+    assert (fp._direct_mask_f3(cm, kind, digits, n).tolist()
+            == fp._direct_mask_int(cm, kind, digits, 3, n).tolist())
+
+
+@pytest.mark.parametrize("path", ["compiled", "direct"])
+def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
+    # [e1,e1] = e2, [e1,e2] = 2e1, [e2,e1] = e1 + e2, [e2,e2] = 2e2, swept
+    # over all 3^4 matrices; the integer kernel gives the reference
+    consts = (((0, 1), (2, 0)), ((1, 1), (0, 2)))
+    table = AlgebraTable("D2", 2, [[[RatExpr.const(v) for v in ij]
+                                    for ij in row] for row in consts])
+    kind = make_kind("rota-baxter", RatExpr.const(1))
+    idx = np.arange(3 ** 4, dtype=np.int64)
+    digits = fp._digit_block(idx, 4, 3)
+    want = idx[fp._direct_mask_int(fp._table_mod_p(table, 3), kind, digits,
+                                   3, 2)].tolist()
+    assert 0 < len(want) < idx.size
+    assert solution_indices(table, kind, 3, path=path).tolist() == want
+    evaluate = pickle.loads(pickle.dumps(sweep_kernel(table, kind, 3,
+                                                      path=path)))
+
+    def compiled_again(*args):
+        raise AssertionError("a shard compiled the system again")
+    monkeypatch.setattr(fp, "compile_system", compiled_again)
+    got = np.concatenate([sweep_shard(evaluate, 2, 3, s) for s in range(9)])
+    assert np.sort(got).tolist() == want
 
 
 def _int_kernel_sweep(table, kind):

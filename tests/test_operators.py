@@ -15,6 +15,7 @@ from leibnizalg.exact import (
     RE_ZERO,
     parse_expr,
 )
+from leibnizalg.fp import compile_system
 from leibnizalg.operators import (
     CLAIMED_DIM_RANGE,
     KIND_NAMES,
@@ -157,6 +158,27 @@ def test_unknown_letters_per_kind():
         m = unknown_matrix(4, kname)
         assert str(m[0][0]) == f"{letter}11"
         assert str(m[2][1]) == f"{letter}32"
+
+
+def test_unknown_names_stay_distinct_from_dimension_ten(cmap):
+    for kname in KIND_NAMES:
+        names = {str(x) for row in unknown_matrix(11, kname) for x in row}
+        assert len(names) == 121
+    m = unknown_matrix(11, "nijenhuis")
+    assert (str(m[0][10]), str(m[10][0])) == ("k1_11", "k11_1")
+    assert str(unknown_matrix(9, "reynolds")[8][8]) == "a99"
+    # up to dimension 9 the names, and so every printed system, are as
+    # they were
+    sys = build_system(cmap["L2"], make_kind("nijenhuis"))
+    assert sys.unknowns == tuple(f"k{r}{c}" for r in range(1, 5)
+                                 for c in range(1, 5))
+    # [e1, e1] = e2 in dimension 11: every entry is its own unknown, so
+    # the compiled system touches all 121 flat positions
+    n = 11
+    c = [[[RE_ZERO] * n for _ in range(n)] for _ in range(n)]
+    c[0][0][1] = RatExpr.const(1)
+    cs = compile_system(AlgebraTable("D11", n, c), make_kind("nijenhuis"), 2)
+    assert {pos for mono in cs.monos for pos, _ in mono} == set(range(121))
 
 
 def test_degree_bounds_over_whole_catalog(cmap):
