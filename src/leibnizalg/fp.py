@@ -22,9 +22,7 @@ involved anywhere.
 At p = 2 both paths are bitsliced: entry t of every matrix in a block is one
 bit plane, a product is an AND of planes and a sum is an XOR.  The compiled
 path ANDs the entries of each monomial (x^e = x over F_2) and XORs the
-monomials with odd coefficient into each equation; the direct path runs its
-contractions as AND/XOR over planes and still reads only the structure
-constants mod 2.
+monomials with odd coefficient into each equation.
 
 At p = 3 both paths are bitsliced too, after Boothby and Bradshaw
 (arXiv:0901.1413): a value is two one-hot planes (ones, twos), a sum takes
@@ -32,11 +30,25 @@ six boolean operations and a product four ANDs and two ORs, and negation
 swaps the planes.  The compiled path ANDs the nonzero planes of a
 monomial's entries and XORs the sign planes of its odd-exponent entries
 (x^2 is the indicator of x != 0), negates the terms with coefficient 2 and
-sums each equation pairwise; the direct path runs the integer kernel's
-contractions over trit planes and reads only the structure constants and
-the weight mod 3.  For 5 <= p <= 13 the integer kernels are used; a sweep
-is refused when the worst case of their intermediates does not fit their
-dtype.
+sums each equation pairwise.  For 5 <= p <= 13 the integer kernels are
+used; a sweep is refused when the worst case of their intermediates does
+not fit their dtype.
+
+At p <= 3 the direct path is one kernel for both fields.  It reads only
+the structure constants and the weight mod p, and it runs the integer
+kernel's contractions over the planes, summed over the nonzero structure
+constants only: T is applied only along the output coordinates that some
+nonzero constant has.  The catalog's tables have few nonzero constants
+(L17 has 2 of 64 mod 3), so each contraction takes a few plane products
+per constant, and applying T n^3 per output coordinate, in place of the n^4
+products of a dense contraction.
+
+A sweep walks aligned blocks of p^k matrices.  Within one, the counter's k
+digits above a shard's row run through a pattern that is the same in every
+block, and every other digit is fixed.  So at p <= 3 the planes of a block
+are read off the counter: the pattern's planes are built once per (p, k),
+and a fixed digit's plane is all ones or all zeros.  No matrix is decoded
+digit by digit and no plane is packed per block.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -60,7 +72,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product as iter_product
 from math import gcd, lcm
 
@@ -278,6 +290,20 @@ class CompiledSystem:
         return int(max(self.coeffs.T.astype(object) @ top))
 
 
+def _quotient_mod_p(coef: Scalar, dval: Scalar, p: int) -> int:
+    """coef / dval in F_p, as reduce_mod_p decides it.  When both are real
+    and p divides neither the denominator of coef nor the numerator of
+    dval, the quotient's denominator is prime to p before any cancelling,
+    so it is reduced from the four integers directly; every other case,
+    and so every one that raises, goes through the exact quotient."""
+    if not coef.im and not dval.im:
+        cn, cd = coef.re.numerator, coef.re.denominator
+        dn, dd = dval.re.numerator, dval.re.denominator
+        if cd % p and dn % p:
+            return cn * dd * pow(cd * dn, -1, p) % p
+    return reduce_mod_p(RatExpr.const(coef / dval), p)
+
+
 def compile_system(table: AlgebraTable, kind: OperatorKind,
                    p: int) -> CompiledSystem:
     _check_prime(p)
@@ -295,7 +321,7 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
         dval = den.const_value()  # denominators collect only table constants
         terms = {}
         for mono, coef in eq.terms.items():
-            cval = reduce_mod_p(RatExpr.const(coef / dval), p)
+            cval = _quotient_mod_p(coef, dval, p)
             if cval == 0:
                 continue
             key = tuple((flat[nm], e) for nm, e in mono)
@@ -313,14 +339,16 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
     return CompiledSystem(p, table.dim, tuple(monos), coeffs)
 
 
-def _digit_block(idx: np.ndarray, n2: int, p: int) -> np.ndarray:
+def _digit_block(idx: np.ndarray, n2: int, p: int,
+                 stride: int | None = None) -> np.ndarray:
     """Digit t (little-endian, base p) of every counter value, in column t.
 
-    At p = 2 the digits are the counter's bits, unpacked from its bytes.
+    With stride, at p <= 3, idx is one aligned block of sweep_shard (see
+    there) with that step, and the block's planes are returned instead:
+    _bit_planes or _trit_planes of its digits, built from the counter.
     """
-    if p == 2:
-        octets = idx.astype("<u8").view(np.uint8).reshape(-1, 8)
-        return np.unpackbits(octets, axis=1, count=n2, bitorder="little")
+    if stride is not None and p <= 3:
+        return _counter_planes(int(idx[0]), idx.size, n2, p, stride)
     out = np.empty((idx.size, n2), dtype=np.int32)
     rem = idx.astype(np.int64)
     for t in range(n2):
@@ -340,11 +368,54 @@ def _bit_planes(digits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _trit_planes(digits: np.ndarray) -> tuple:
-    """A 0/1/2 digit block as one-hot bit planes (ones, twos): bit i of row
-    t's words in ones (twos) is set when digit t of matrix i is 1 (2).
-    Bits past the last matrix are 0, the value 0."""
-    return _bit_planes(digits == 1), _bit_planes(digits == 2)
+def _trit_planes(digits: np.ndarray) -> np.ndarray:
+    """A 0/1/2 digit block as one-hot bit planes, stacked (ones, twos): bit
+    i of row t's words in ones (twos) is set when digit t of matrix i is 1
+    (2).  Bits past the last matrix are 0, the value 0."""
+    return np.stack([_bit_planes(digits == 1), _bit_planes(digits == 2)])
+
+
+@lru_cache(maxsize=None)
+def _counter_pattern(p: int, k: int) -> tuple:
+    """The planes of the k low digits of the counter values 0 .. p^k - 1,
+    stacked by value as in _counter_planes, and the plane that is set for
+    every one of those p^k matrices.  Both are read-only."""
+    size = p ** k
+    # one byte per digit: the row-major indices of a p x ... x p grid are
+    # the digits, most significant first
+    digits = np.indices((p,) * k, dtype=np.uint8).reshape(k, size)[::-1].T
+    pattern = _bit_planes(digits)[None] if p == 2 else _trit_planes(digits)
+    valid = _bit_planes(np.ones((size, 1), dtype=bool))[0]
+    pattern.flags.writeable = valid.flags.writeable = False
+    return pattern, valid
+
+
+def _counter_planes(first: int, size: int, n2: int, p: int,
+                    stride: int) -> np.ndarray:
+    """Planes of the aligned block first + stride * (0 .. size - 1), where
+    size = p^k and stride = p^s, p <= 3, and first has k zero digits from
+    digit s up.  Those k digits run through one fixed pattern in every
+    such block; every other digit is the same for the whole block, so its
+    plane is set for every matrix of the block or for none."""
+    k = s = 0
+    while p ** k < size:
+        k += 1
+    while p ** s < stride:
+        s += 1
+    pattern, valid = _counter_pattern(p, k)
+    const = np.array([first // p ** t % p for t in range(n2)])
+    hot = const[None, :, None] == np.arange(1, p)[:, None, None]
+    planes = np.where(hot, valid, np.uint64(0))
+    planes[:, s:s + k] = pattern
+    return planes[0] if p == 2 else planes
+
+
+def _f2_add(x: tuple, y: tuple) -> tuple:
+    return (x[0] ^ y[0],)
+
+
+def _f2_mul(x: tuple, y: tuple) -> tuple:
+    return (x[0] & y[0],)
 
 
 def _f3_add(x: tuple, y: tuple) -> tuple:
@@ -360,30 +431,25 @@ def _f3_mul(x: tuple, y: tuple) -> tuple:
     return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
 
 
-def _f3_sum(x: tuple, axis: int) -> tuple:
-    """Sum of one-hot trit planes along an axis."""
-    acc = tuple(np.take(a, 0, axis=axis) for a in x)
-    for i in range(1, x[0].shape[axis]):
-        acc = _f3_add(acc, tuple(np.take(a, i, axis=axis) for a in x))
-    return acc
+#: (sum, product) of bitsliced values over F_p, p <= 3.  A value is the
+#: tuple of its p - 1 one-hot planes, (bits,) over F_2 and (ones, twos) over
+#: F_3, so reversing the tuple negates it.
+_BIT_FIELDS = {2: (_f2_add, _f2_mul), 3: (_f3_add, _f3_mul)}
 
 
-def _f3_differs(x: tuple, y: tuple) -> np.ndarray:
-    return (x[0] ^ y[0]) | (x[1] ^ y[1])
+def _solution_bits(bad: np.ndarray) -> np.ndarray:
+    """Mask of the matrices whose bit is clear in the plane of failures, one
+    entry per bit; the bits past a block's last matrix are padding, which
+    sweep_shard drops."""
+    return np.unpackbits(bad.view(np.uint8), bitorder="little") == 0
 
 
-def _solution_bits(bad: np.ndarray, rows: int) -> np.ndarray:
-    """Mask of the matrices whose bit is clear in the plane of failures."""
-    return np.unpackbits(bad.view(np.uint8), count=rows,
-                         bitorder="little") == 0
-
-
-def _compiled_mask(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+def _compiled_mask(cs: CompiledSystem, block: np.ndarray) -> np.ndarray:
     if cs.p == 2:
-        return _compiled_mask_f2(cs, digits)
+        return _compiled_mask_f2(cs, block)
     if cs.p == 3:
-        return _compiled_mask_f3(cs, digits)
-    return _compiled_mask_int(cs, digits)
+        return _compiled_mask_f3(cs, block)
+    return _compiled_mask_int(cs, block)
 
 
 def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
@@ -397,21 +463,22 @@ def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     return (residues == 0).all(axis=1)
 
 
-def _compiled_mask_f2(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+def _compiled_mask_f2(cs: CompiledSystem, planes: np.ndarray) -> np.ndarray:
+    """The system at p = 2 over the bit planes of a block (_bit_planes)."""
     positions, mono_starts, terms, eq_starts = cs.f2_terms
     if terms.size == 0:
-        return np.ones(digits.shape[0], dtype=bool)
-    planes = _bit_planes(digits)
+        return np.ones(planes.shape[-1] * 64, dtype=bool)
     monos = np.bitwise_and.reduceat(planes[positions], mono_starts, axis=0)
     eqs = np.bitwise_xor.reduceat(monos[terms], eq_starts, axis=0)
-    return _solution_bits(np.bitwise_or.reduce(eqs, axis=0), digits.shape[0])
+    return _solution_bits(np.bitwise_or.reduce(eqs, axis=0))
 
 
-def _compiled_mask_f3(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
+def _compiled_mask_f3(cs: CompiledSystem, planes: np.ndarray) -> np.ndarray:
+    """The system at p = 3 over the trit planes of a block (_trit_planes)."""
     positions, mono_starts, odd, odd_starts, terms, levels = cs.f3_terms
     if terms.size == 0:
-        return np.ones(digits.shape[0], dtype=bool)
-    ones, twos = _trit_planes(digits)
+        return np.ones(planes.shape[-1] * 64, dtype=bool)
+    ones, twos = planes
     nonzero = np.bitwise_and.reduceat((ones | twos)[positions], mono_starts,
                                       axis=0)
     signs = np.concatenate([twos, np.zeros_like(twos[:1])])
@@ -423,8 +490,7 @@ def _compiled_mask_f3(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     for left, right, single in levels:
         pairs = _f3_add((x[0][left], x[1][left]), (x[0][right], x[1][right]))
         x = tuple(np.concatenate([s, a[single]]) for s, a in zip(pairs, x))
-    bad = np.bitwise_or.reduce(x[0] | x[1], axis=0)
-    return _solution_bits(bad, digits.shape[0])
+    return _solution_bits(np.bitwise_or.reduce(x[0] | x[1], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +515,11 @@ def _direct_worst(n: int, p: int) -> int:
     return max(n * n * (p - 1) ** 3, (p - 1) ** 2 + 2 * (p - 1))
 
 
-def _direct_mask(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
+def _direct_mask(cm: np.ndarray, kind: OperatorKind, block: np.ndarray,
                  p: int, n: int) -> np.ndarray:
-    if p == 2:
-        return _direct_mask_f2(cm, kind, digits, n)
-    if p == 3:
-        return _direct_mask_f3(cm, kind, digits, n)
-    return _direct_mask_int(cm, kind, digits, p, n)
+    if p <= 3:
+        return _direct_mask_bits(cm, kind, block, p, n)
+    return _direct_mask_int(cm, kind, block, p, n)
 
 
 def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
@@ -485,80 +549,88 @@ def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
     return left & right
 
 
-def _direct_mask_f2(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
-                    n: int) -> np.ndarray:
-    """_direct_mask_int at p = 2 over bit planes: P[a, i] is the plane of
-    entry (a, i), and C[i, j, k] is all ones where the structure constant
-    c_ij^k is odd.  Axis names follow the integer kernel's einsums; the
-    comments give the axes before the XOR over the summed one."""
-    P = _bit_planes(digits).reshape(n, n, -1)
-    C = np.where(cm % 2 == 1, ~np.uint64(0), np.uint64(0))[..., None]
-    xor = np.bitwise_xor.reduce
-    bte = xor(P[:, :, None, None] & C[:, None], axis=0)       # a,i,j,k
-    bet = xor(P[None, :, :, None] & C[:, :, None], axis=1)    # i,b,j,k
-    btt = xor(P[:, :, None, None] & bet[:, None], axis=0)     # a,i,j,k
+def _direct_mask_bits(cm: np.ndarray, kind: OperatorKind, planes: np.ndarray,
+                      p: int, n: int) -> np.ndarray:
+    """_direct_mask_int at p = 2 or 3 over the planes of a block, as values
+    of _BIT_FIELDS, summed over the nonzero structure constants only.
 
-    def tap(tensor):
-        return xor(P[None, None] & tensor[:, :, None], axis=3)  # i,j,q,k
+    P[a, i] is entry (a, i).  Column s of bte, bet and C is coordinate
+    k = out[s] of [T e_i, e_j], [e_i, T e_j] and [e_i, e_j], for the k that
+    some nonzero constant c_ab^k has; their other coordinates are zero, so
+    tap, which applies T to them, sums over the out columns only.  lhs is
+    [T e_i, T e_j] at every coordinate q.  Nijenhuis's T [e_i, e_j] term
+    has every coordinate, and enters after tap as T^2 applied to C.
+    """
+    add, mul = _BIT_FIELDS[p]
+    width = planes.shape[-1]
+    consts = np.argwhere(cm).tolist()
+    out = sorted({k for _, _, k in consts})
+    if not out:                     # a zero bracket: both sides vanish
+        return np.ones(width * 64, dtype=bool)
 
-    if kind.name == "rota-baxter":
-        inner = bte ^ bet
-        if reduce_mod_p(kind.weight, 2):
-            inner ^= C
-        bad = btt ^ tap(inner)
-    elif kind.name == "nijenhuis":
-        tb = xor(P[None, None] & C[:, :, None], axis=3)          # i,j,q,k
-        bad = btt ^ tap(bte ^ bet ^ tb)
-    elif kind.name == "reynolds":
-        bad = btt ^ tap(bet ^ bte ^ btt)
-    else:
-        bad = (btt ^ tap(bte)) | (btt ^ tap(bet))
-    bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
-    return _solution_bits(bad, digits.shape[0])
-
-
-def _direct_mask_f3(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
-                    n: int) -> np.ndarray:
-    """_direct_mask_int at p = 3 over one-hot trit planes (ones, twos): P
-    holds the planes of entry (a, i) at [a, i], and C the structure
-    constants mod 3, all ones in the plane of their value.  Axes are named
-    as in _direct_mask_f2."""
-    P = tuple(a.reshape(n, n, -1) for a in _trit_planes(digits))
-    full = ~np.uint64(0)
-    C = tuple(np.where(cm % 3 == v, full, np.uint64(0))[..., None]
-              for v in (1, 2))
-
-    def expand(x, index):
+    def part(x, index):
         return tuple(a[index] for a in x)
 
-    P_ai = expand(P, np.s_[:, :, None, None])
-    bte = _f3_sum(_f3_mul(P_ai, expand(C, np.s_[:, None])), 0)  # a,i,j,k
-    bet = _f3_sum(_f3_mul(expand(P, np.s_[None, :, :, None]),
-                          expand(C, np.s_[:, :, None])), 1)     # i,b,j,k
-    btt = _f3_sum(_f3_mul(P_ai, expand(bet, np.s_[:, None])), 0)  # a,i,j,k
-    P_qk = expand(P, np.s_[None, None])
+    def put(x, key, y):             # x[key] += y
+        x[key] = add(x[key], y) if key in x else y
 
-    def tap(tensor):                                            # i,j,q,k
-        return _f3_sum(_f3_mul(P_qk, expand(tensor, np.s_[:, :, None])), 3)
+    def dense(x, shape, index):     # x[key] at index(*key), zero elsewhere
+        arrays = [np.zeros(shape + (width,), np.uint64) for _ in P]
+        for key, v in x.items():
+            for a, u in zip(arrays, v):
+                a[index(*key)] = u
+        return arrays
 
-    def neg(x):
-        return x[1], x[0]
+    def total(x, axis):             # the sum along an axis
+        acc = part(x, np.s_[(slice(None),) * axis + (0,)])
+        for s in range(1, x[0].shape[axis]):
+            acc = add(acc, part(x, np.s_[(slice(None),) * axis + (s,)]))
+        return acc
+
+    P = tuple(planes.reshape(p - 1, n, n, width))
+    column = {k: s for s, k in enumerate(out)}
+    bte, bet, btt = {}, {}, {}
+    C = [np.zeros((n, n, len(out), 1), np.uint64) for _ in P]
+    for a, b, k in consts:
+        c, s = int(cm[a, b, k]), column[k]
+        Ta, Tb = part(P, a), part(P, b)
+        if c == 2:
+            Ta, Tb = Ta[::-1], Tb[::-1]
+        put(bte, (b, s), Ta)                                        # i
+        put(bet, (a, s), Tb)                                        # j
+        put(btt, (k,), mul(part(Ta, np.s_[:, None]),
+                           part(P, np.s_[b, None])))                # i,j
+        C[c - 1][a, b, s] = ~np.uint64(0)
+    shape = (n, n, len(out))
+    bte = dense(bte, shape, lambda b, s: np.s_[:, b, s])
+    bet = dense(bet, shape, lambda a, s: np.s_[a, :, s])
+    lhs = dense(btt, (n, n, n), lambda k: np.s_[:, :, k])
+    T_out = part(P, np.s_[:, out])                                  # q,s
+
+    def tap(x, M=T_out):                                            # i,j,q
+        return total(mul(part(x, np.s_[:, :, None]),
+                         part(M, np.s_[None, None])), 3)
+
+    def differs(x):
+        diff = [(a ^ v).reshape(-1, width) for a, v in zip(lhs, x)]
+        return np.bitwise_or.reduce(np.concatenate(diff), axis=0)
 
     if kind.name == "rota-baxter":
-        inner = _f3_add(bte, bet)
-        w = reduce_mod_p(kind.weight, 3)
+        inner = add(bte, bet)
+        w = reduce_mod_p(kind.weight, p)
         if w:
-            inner = _f3_add(inner, C if w == 1 else neg(C))
-        bad = _f3_differs(btt, tap(inner))
+            inner = add(inner, C if w == 1 else C[::-1])
+        bad = differs(tap(inner))
     elif kind.name == "nijenhuis":
-        tb = _f3_sum(_f3_mul(P_qk, expand(C, np.s_[:, :, None])), 3)
-        bad = _f3_differs(btt, tap(_f3_add(_f3_add(bte, bet), neg(tb))))
+        T2 = total(mul(part(P, np.s_[:, :, None]), part(T_out, np.s_[None])),
+                   1)                                               # q,s
+        bad = differs(add(tap(add(bte, bet)), tap(C, T2)[::-1]))
     elif kind.name == "reynolds":
-        bad = _f3_differs(btt, tap(_f3_add(_f3_add(bet, bte), neg(btt))))
+        btt = part(lhs, np.s_[:, :, out])
+        bad = differs(tap(add(add(bet, bte), btt[::-1])))
     else:
-        bad = _f3_differs(btt, tap(bte)) | _f3_differs(btt, tap(bet))
-    bad = np.bitwise_or.reduce(bad.reshape(-1, bad.shape[-1]), axis=0)
-    return _solution_bits(bad, digits.shape[0])
+        bad = differs(tap(bte)) | differs(tap(bet))
+    return _solution_bits(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -632,22 +704,31 @@ def sweep_shard(evaluate, n: int, p: int, shard: int | None = None,
     matrices whose first row encodes that value are scanned; the p^n
     shards partition the full space, so a pool can run one kernel over
     all of them and merge the parts.
+
+    The matrices are walked in aligned blocks of p^k, the largest power of
+    p not above chunk and not above the p^(n*n - n) matrices of a shard (or
+    the p^(n*n) of the whole sweep).  Within a block the counter's k digits
+    above the shard's row run through all their values and every other
+    digit is fixed, so at p <= 3 _digit_block reads the block's planes off
+    the counter, and the kernel takes those.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, not {chunk}")
     total = p ** (n * n)
-    if shard is None:
-        blocks = (np.arange(start, min(start + chunk, total), dtype=np.int64)
-                  for start in range(0, total, chunk))
-    else:
-        stride = p ** n
+    first, stride = 0, 1
+    if shard is not None:
+        first, stride = shard, p ** n
         if not 0 <= shard < stride:
             raise ValueError(f"shard must lie in [0, {stride})")
-        span = total // stride
-        blocks = (shard + stride * np.arange(start, min(start + chunk, span),
-                                             dtype=np.int64)
-                  for start in range(0, span, chunk))
-    hits = [idx[evaluate(_digit_block(idx, n * n, p))] for idx in blocks]
-    if not hits:
-        return np.array([], dtype=np.int64)
+    span = total // stride
+    size = 1
+    while size * p <= min(chunk, span):
+        size *= p
+    hits = []
+    for start in range(0, span, size):
+        idx = first + stride * np.arange(start, start + size, dtype=np.int64)
+        mask = evaluate(_digit_block(idx, n * n, p, stride))
+        hits.append(idx[mask[:size]])
     return np.concatenate(hits)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -136,8 +137,8 @@ def test_paths_agree_on_examples(cmap):
 
 def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
     kind = make_kind("nijenhuis")
-    # a chunk that is not a multiple of 64 leaves the bitsliced kernels a
-    # partial last word
+    # a chunk that is not a power of 2 walks blocks of the largest power
+    # of 2 below it
     for path, chunk in (("compiled", 1 << 14), ("direct", 1000)):
         parts = [solution_indices(cmap["L1"], kind, 2, shard=s, path=path,
                                   chunk=chunk) for s in range(16)]
@@ -241,11 +242,12 @@ def test_compiled_system_shape(cmap):
 # bitsliced F_2 and F_3 kernels against the integer kernels
 
 @st.composite
-def mod_tables(draw, p):
+def mod_tables(draw, p, dims=(2, 4)):
     """A random table of structure constants in [0, p) (not necessarily
-    Leibniz: the kernels evaluate the operator identity for any bracket).
-    Like the catalog's tables, many are sparse."""
-    n = draw(st.integers(min_value=2, max_value=4))
+    Leibniz: the kernels evaluate the operator identity for any bracket),
+    of a dimension in the closed range dims.  Like the catalog's tables,
+    many are sparse."""
+    n = draw(st.integers(*dims))
     pool = (0,) * draw(st.sampled_from((1, 4, 16))) + tuple(range(1, p))
     digits = draw(st.lists(st.sampled_from(pool), min_size=n ** 3,
                            max_size=n ** 3))
@@ -278,12 +280,18 @@ def digit_blocks(draw, n, p):
         np.uint8 if p == 2 else np.int32)
 
 
+def _planes(digits, p):
+    """What the bitsliced kernels take: the planes of a digit block."""
+    return fp._bit_planes(digits) if p == 2 else fp._trit_planes(digits)
+
+
 @settings(max_examples=30, deadline=None)
 @given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
     cs = compile_system(table, kind, 2)
     digits = data.draw(digit_blocks(table.dim, 2))
-    assert (fp._compiled_mask_f2(cs, digits).tolist()
+    got = fp._compiled_mask_f2(cs, _planes(digits, 2))[:len(digits)]
+    assert (got.tolist()
             == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
 
 
@@ -293,7 +301,8 @@ def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
     n = table.dim
     cm = fp._table_mod_p(table, 2)
     digits = data.draw(digit_blocks(n, 2))
-    assert (fp._direct_mask_f2(cm, kind, digits, n).tolist()
+    got = fp._direct_mask_bits(cm, kind, _planes(digits, 2), 2, n)
+    assert (got[:len(digits)].tolist()
             == fp._direct_mask_int(cm, kind, digits, 2, n).tolist())
 
 
@@ -302,8 +311,8 @@ def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
 def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
     cs = compile_system(table, kind, 3)
     digits = data.draw(digit_blocks(table.dim, 3))
-    assert (fp._compiled_mask_f3(cs, digits).tolist()
-            == fp._compiled_mask_int(cs, digits).tolist())
+    got = fp._compiled_mask_f3(cs, _planes(digits, 3))[:len(digits)]
+    assert got.tolist() == fp._compiled_mask_int(cs, digits).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,7 +321,8 @@ def test_f3_direct_kernel_matches_int_kernel(table, kind, data):
     n = table.dim
     cm = fp._table_mod_p(table, 3)
     digits = data.draw(digit_blocks(n, 3))
-    assert (fp._direct_mask_f3(cm, kind, digits, n).tolist()
+    got = fp._direct_mask_bits(cm, kind, _planes(digits, 3), 3, n)
+    assert (got[:len(digits)].tolist()
             == fp._direct_mask_int(cm, kind, digits, 3, n).tolist())
 
 
@@ -338,6 +348,100 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
     monkeypatch.setattr(fp, "compile_system", compiled_again)
     got = np.concatenate([sweep_shard(evaluate, 2, 3, s) for s in range(9)])
     assert np.sort(got).tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
+    # every block sweep_shard walks, whole sweeps and shards: the planes
+    # read off the counter are the planes of the block's digits, padding
+    # bits of the last word included; at n = 1 a block is shorter than one
+    # word, and no power of 3 fills its last word
+    digit_block = fp._digit_block
+    blocks = []
+
+    def recorded(idx, n2, p, stride):
+        planes = digit_block(idx, n2, p, stride)
+        blocks.append((idx, planes))
+        return planes
+    monkeypatch.setattr(fp, "_digit_block", recorded)
+
+    def accept_all(planes):
+        return np.ones(planes.shape[-1] * 64, dtype=bool)
+    total, rows = p ** (n * n), p ** n
+    for chunk in (1, 7, 64, 1000, 1 << 14):
+        for shard in (None, 0, 1, rows - 1):
+            first, stride = (0, 1) if shard is None else (shard, rows)
+            span = total // stride
+            size = max(p ** k for k in range(n * n + 1)
+                       if p ** k <= min(chunk, span))
+            if span // size > 1 << 12:
+                continue    # 3^9 blocks of one matrix; its shards are walked
+            blocks.clear()
+            got = sweep_shard(accept_all, n, p, shard, chunk)
+            assert got.tolist() == list(range(first, total, stride))
+            assert {idx.size for idx, _ in blocks} == {size}
+            for idx, planes in blocks:
+                want = _planes(digit_block(idx, n * n, p), p)
+                assert planes.dtype == want.dtype
+                assert np.array_equal(planes, want), (chunk, shard, idx[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)), st.data())
+def test_small_sweeps_match_the_int_kernels(p, data):
+    # whole sweeps and every shard of dimension 1 and 2 tables through the
+    # bitsliced kernels, block sizes 1, p or p^2 and the whole span
+    table = data.draw(mod_tables(p, dims=(1, 2)))
+    kind = data.draw(kinds())
+    chunk = data.draw(st.sampled_from((1, 7, 1 << 14)))
+    n = table.dim
+    idx = np.arange(p ** (n * n), dtype=np.int64)
+    digits = fp._digit_block(idx, n * n, p).astype(np.int32)
+    cs = compile_system(table, kind, p)
+    want = idx[fp._compiled_mask_int(cs, digits)].tolist()
+    assert want == idx[fp._direct_mask_int(fp._table_mod_p(table, p), kind,
+                                           digits, p, n)].tolist()
+    for path in ("compiled", "direct"):
+        got = solution_indices(table, kind, p, path=path, chunk=chunk)
+        assert got.tolist() == want
+        parts = [solution_indices(table, kind, p, path=path, shard=s,
+                                  chunk=chunk) for s in range(p ** n)]
+        assert np.sort(np.concatenate(parts)).tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_nonpositive_chunk_is_refused_before_any_block(cmap, no_sweep,
+                                                       chunk):
+    kind = make_kind("nijenhuis")
+    with pytest.raises(ValueError, match="chunk"):
+        solution_indices(cmap["L1"], kind, 2, chunk=chunk)
+    evaluate = sweep_kernel(cmap["L1"], kind, 2)
+    for shard in (None, 3):
+        with pytest.raises(ValueError, match="chunk"):
+            sweep_shard(evaluate, 4, 2, shard, chunk)
+
+
+def _scalars(p):
+    """Gaussian rationals whose numerators and denominators are often
+    multiples of p; most are real."""
+    fracs = st.builds(Fraction, st.integers(-3 * p, 3 * p),
+                      st.integers(1, 3 * p))
+    return st.builds(Scalar, fracs, st.one_of(st.just(0), fracs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 13)), st.data())
+def test_quotient_mod_p_matches_the_exact_reduction(p, data):
+    coef = data.draw(_scalars(p))
+    dval = data.draw(_scalars(p).filter(lambda s: not s.is_zero))
+    try:
+        want = reduce_mod_p(RatExpr.const(coef / dval), p)
+    except (NonRealValue, NonInvertibleDenominator) as err:
+        with pytest.raises(type(err)):
+            fp._quotient_mod_p(coef, dval, p)
+    else:
+        assert fp._quotient_mod_p(coef, dval, p) == want
 
 
 def _int_kernel_sweep(table, kind):
