@@ -12,6 +12,10 @@ the algebra product, not a commutator.
 ResidualTensor is the one residual type of the package: the Leibniz
 residual above, the mixed residual of two brackets (compat) and the
 operator residuals (operators) are all read through its labelled walk.
+A residual is computed in lexicographic order and stops at its first
+nonzero vector, which already decides whether the identity holds and
+where it first fails; the rest is computed only for a reader that walks
+on.
 
 Catalog tables are sparse (a few nonzero constants out of dim^3), so the
 residuals are contractions over the nonzero constants only: a bracket
@@ -208,21 +212,52 @@ class ResidualTensor:
     list holds the dim coordinates of one identity; otherwise it holds dim
     coordinates per named condition, in the order of conditions.  The
     identity holds iff every coordinate vanishes identically.
+
+    A tabulated tensor computes its vectors in lexicographic order up to
+    the first nonzero one, which decides is_zero and first_failure; the
+    rest are computed only when walk, entries or holds(condition) reach
+    them, and each vector is computed once.
     """
 
-    __slots__ = ("dim", "entries", "conditions")
+    __slots__ = ("dim", "conditions", "_vectors", "_pending")
 
     def __init__(self, dim: int, entries: dict, conditions=()):
         self.dim = dim
-        self.entries = entries
         self.conditions = conditions
+        self._vectors = list(entries.items())
+        self._pending = iter(())
 
     @classmethod
     def tabulate(cls, dim: int, arity: int, coords, conditions=()):
-        """The tensor whose vector at a basis tuple is coords(*tuple)."""
-        return cls(dim, {index: coords(*index)
-                         for index in iter_product(range(dim), repeat=arity)},
-                   conditions)
+        """The tensor whose vector at a basis tuple is coords(*tuple),
+        computed up to the first nonzero vector."""
+        res = cls(dim, {}, conditions)
+        indices = iter_product(range(dim), repeat=arity)
+        for index in indices:
+            vec = coords(*index)
+            res._vectors.append((index, vec))
+            if not all(v.is_zero for v in vec):
+                break
+        res._pending = ((index, coords(*index)) for index in indices)
+        return res
+
+    def _items(self):
+        """(index, vector) in lexicographic order, computing the pending
+        vectors as they are reached."""
+        done = self._vectors
+        t = 0
+        while True:
+            if t == len(done):
+                item = next(self._pending, None)
+                if item is None:
+                    return
+                done.append(item)
+            yield done[t]
+            t += 1
+
+    @property
+    def entries(self) -> dict:
+        return dict(self._items())
 
     def walk(self):
         """Every coordinate as (label, value), in lexicographic order.
@@ -233,7 +268,7 @@ class ResidualTensor:
         q_range = range(1, self.dim + 1)
         tails = [(q, c) for c in self.conditions for q in q_range] \
             if self.conditions else [(q,) for q in q_range]
-        for index, vec in self.entries.items():
+        for index, vec in self._items():
             where = tuple(a + 1 for a in index)
             for tail, value in zip(tails, vec):
                 yield where + tail, value
@@ -248,7 +283,7 @@ class ResidualTensor:
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for vec in self.entries.values() for v in vec)
+        return all(v.is_zero for _, vec in self._items() for v in vec)
 
     def holds(self, condition) -> bool:
         """Whether every coordinate of the named condition vanishes."""
@@ -277,14 +312,16 @@ def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
 
 
 def combined_bracket(a: AlgebraTable, b: AlgebraTable, l1, l2) -> AlgebraTable:
-    """The pencil l1*[.,.]_a + l2*[.,.]_b on a common underlying space."""
+    """The pencil l1*[.,.]_a + l2*[.,.]_b on a common underlying space;
+    only the positions where a or b has a nonzero constant are summed."""
     if a.dim != b.dim:
         raise ValueError("tables have different dimensions")
     l1 = l1 if isinstance(l1, RatExpr) else RatExpr.const(l1)
     l2 = l2 if isinstance(l2, RatExpr) else RatExpr.const(l2)
     n = a.dim
-    c = [[[l1 * a.c[i][j][k] + l2 * b.c[i][j][k] for k in range(n)]
-          for j in range(n)] for i in range(n)]
+    c = [[[RE_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, _ in a._nonzero + b._nonzero:
+        c[i][j][k] = l1 * a.c[i][j][k] + l2 * b.c[i][j][k]
     specs = {}
     for p in list(a.params) + list(b.params):
         old = specs.get(p.name)

@@ -14,7 +14,12 @@ treated as independently parameterized (one side is renamed first).
 
 A scan binds each table at its sample values once and uses the bound
 tables in every pair; each table keeps its own Leibniz verdict
-(AlgebraTable.is_leibniz).
+(AlgebraTable.is_leibniz).  Each verdict is reached with the least exact
+work that decides it: a pair is proved symbolically once, and only a pair
+that fails is checked at its sample bindings; a pencil check first proves
+the pencil with symbolic coefficients, which settles every sample at once,
+and draws its seeded samples only when that fails; a residual stops at
+its first nonzero vector (ResidualTensor).
 """
 
 from __future__ import annotations
@@ -97,24 +102,43 @@ def pair_witness(a: AlgebraTable, b: AlgebraTable):
     return mixed_residual(a, b2).first_failure()
 
 
+def _generic_pencil_is_leibniz(a: AlgebraTable, b: AlgebraTable) -> bool:
+    """Whether the pencil with fresh symbolic coefficients, names that
+    clash with no parameter of a or b, is Leibniz identically."""
+    taken = set(a.param_names()) | set(b.param_names())
+    fresh = []
+    for name in ("l1", "l2"):
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        fresh.append(RatExpr.var(name))
+    return leibniz_residual(combined_bracket(a, b, *fresh)).is_zero
+
+
 def lambda_sample_check(a: AlgebraTable, b: AlgebraTable, *,
                         samples: int = 50, seed: int = 0) -> dict:
     """Random coefficient pencils of the two brackets rechecked exactly.
 
     Draws (l1, l2) rational pairs and verifies the combined bracket's
-    Leibniz residual vanishes; parameters stay symbolic.
+    Leibniz residual vanishes; parameters stay symbolic.  The pencil with
+    symbolic l1 and l2 is checked first: when it is Leibniz, so is every
+    sample, and no sample is drawn.
     """
+    if samples <= 0:
+        return {"samples": samples, "ok": True, "failures": []}
     b2, _ = _disjoin_params(a, b)
-    rng = random.Random(seed)
     failures = []
-    for t in range(samples):
-        l1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        l2 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        pencil = combined_bracket(a, b2, RatExpr.const(l1), RatExpr.const(l2))
-        hit = leibniz_residual(pencil).first_failure()
-        if hit is not None:
-            failures.append({"l1": str(l1), "l2": str(l2),
-                             **witness_dict(hit)})
+    if not _generic_pencil_is_leibniz(a, b2):
+        rng = random.Random(seed)
+        for t in range(samples):
+            l1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            l2 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            pencil = combined_bracket(a, b2, RatExpr.const(l1),
+                                      RatExpr.const(l2))
+            hit = leibniz_residual(pencil).first_failure()
+            if hit is not None:
+                failures.append({"l1": str(l1), "l2": str(l2),
+                                 **witness_dict(hit)})
     return {"samples": samples, "ok": not failures, "failures": failures}
 
 
@@ -163,17 +187,19 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
                 seed: int = 0, pool=None) -> PairReport:
     """Evaluate every unordered pair of tables and diff against the claims.
 
-    Parameterized tables are first checked at every admissible sample
-    binding (values from pool, when given); pairs passing all bindings are
-    then rechecked symbolically, and only the symbolic verdict counts as
-    compatible.  Pairs compatible at some bindings but not symbolically
-    are listed as per-value exceptions.  With lambda_samples > 0, every
-    compatible pair is additionally probed with that many random bracket
-    pencils.
+    Every pair is checked symbolically first, and only the symbolic
+    verdict counts as compatible; a symbolic pass holds at every
+    admissible binding.  A failing pair with parameters is then checked at
+    every admissible sample binding (values from pool, when given), and
+    the bindings where it passes are listed as a per-value exception.
+    With lambda_samples > 0, every compatible pair is additionally probed
+    with that many random bracket pencils.
 
-    Each table is bound at its sample bindings once, before the pair loop;
-    a pair of parameter-free tables is checked once.  Leibniz verdicts are
-    kept on the tables (AlgebraTable.is_leibniz).
+    Each table is bound at its sample bindings once, before the pair loop,
+    and each pair's second table is renamed apart from the first once
+    (_disjoin_params); the checks of a pair, its witness and its pencils
+    all use that one copy.  Leibniz verdicts are kept on the tables
+    (AlgebraTable.is_leibniz).
     """
     tables = list(tables)
     names = [t.name for t in tables]
@@ -183,22 +209,24 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
               for binding in sample_bindings(t, pool)] for t in tables]
 
     pairs_checked, compatible, failing, exceptions = [], [], [], []
+    pencils = []                    # (a, b2) of each compatible pair
     for (a, bound_a), (b, bound_b) in combinations(zip(tables, bound), 2):
         pair = _key(a.name, b.name)
         pairs_checked.append(pair)
         b2, rename = _disjoin_params(a, b)
-        passing, all_pass = [], True
-        for ba, av in bound_a:
-            for bb, bv in bound_b:
-                binding = {**ba, **{rename.get(k, k): v for k, v in bb.items()}}
-                if is_compatible(av, bv):
-                    passing.append({k: str(v) for k, v in binding.items()})
-                else:
-                    all_pass = False
-        if all_pass and (a.is_bound() and b.is_bound()
-                         or is_compatible(a, b2)):
+        if is_compatible(a, b2):
             compatible.append(pair)
+            pencils.append((a, b2))
             continue
+        passing = []
+        if not (a.is_bound() and b.is_bound()):
+            for ba, av in bound_a:
+                for bb, bv in bound_b:
+                    if is_compatible(av, bv):
+                        binding = {**ba, **{rename.get(k, k): v
+                                            for k, v in bb.items()}}
+                        passing.append({k: str(v)
+                                        for k, v in binding.items()})
         # no witness (None) when a Leibniz residual failed instead
         failing.append({"pair": list(pair),
                         "witness": witness_dict(pair_witness(a, b2))})
@@ -221,13 +249,13 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
 
     lambda_checks = None
     if lambda_samples > 0:
-        by_name = {t.name: t for t in tables}
         results = []
-        for a, b in compatible:
-            out = lambda_sample_check(by_name[a], by_name[b],
-                                      samples=lambda_samples, seed=seed)
+        for pair, (a, b2) in zip(compatible, pencils):
+            out = lambda_sample_check(a, b2, samples=lambda_samples,
+                                      seed=seed)
             if not out["ok"]:
-                results.append({"pair": [a, b], "failures": out["failures"]})
+                results.append({"pair": list(pair),
+                                "failures": out["failures"]})
         lambda_checks = {"samples": lambda_samples,
                          "pairs_checked": len(compatible),
                          "ok": not results, "failures": results}

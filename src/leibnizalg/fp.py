@@ -35,13 +35,14 @@ used; a sweep is refused when the worst case of their intermediates does
 not fit their dtype.
 
 At p <= 3 the direct path is one kernel for both fields.  It reads only
-the structure constants and the weight mod p, and it runs the integer
-kernel's contractions over the planes, summed over the nonzero structure
-constants only: T is applied only along the output coordinates that some
-nonzero constant has.  The catalog's tables have few nonzero constants
-(L17 has 2 of 64 mod 3), so each contraction takes a few plane products
-per constant, and applying T n^3 per output coordinate, in place of the n^4
-products of a dense contraction.
+the structure constants and the weight mod p, reduced once per sweep
+together with the layout of the nonzero constants (_DirectForm), and it
+runs the integer kernel's contractions over the planes, summed over the
+nonzero structure constants only: T is applied only along the output
+coordinates that some nonzero constant has.  The catalog's tables have
+few nonzero constants (L17 has 2 of 64 mod 3), so each contraction takes a
+few plane products per constant, and applying T n^3 per output
+coordinate, in place of the n^4 products of a dense contraction.
 
 A sweep walks aligned blocks of p^k matrices.  Within one, the counter's k
 digits above a shard's row run through a pattern that is the same in every
@@ -75,6 +76,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product as iter_product
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -508,6 +510,29 @@ def _table_mod_p(table: AlgebraTable, p: int) -> np.ndarray:
     return cm
 
 
+class _DirectForm(NamedTuple):
+    """What the direct kernels read of one sweep, built once by
+    _direct_form: the table mod p, the weight mod p (0 without one), the
+    nonzero constants as (a, b, k, c, s) for c_ab^k = c with s the
+    position of k in out, and out, the ascending output coordinates that
+    some nonzero constant has."""
+
+    cm: np.ndarray
+    w: int
+    consts: tuple
+    out: list
+
+
+def _direct_form(table: AlgebraTable, w: int, p: int) -> _DirectForm:
+    """The direct kernels' form of a bound table and a weight mod p."""
+    cm = _table_mod_p(table, p)
+    abk = np.argwhere(cm).tolist()
+    out = sorted({k for _, _, k in abk})
+    consts = tuple((a, b, k, int(cm[a, b, k]), out.index(k))
+                   for a, b, k in abk)
+    return _DirectForm(cm, w, consts, out)
+
+
 def _direct_worst(n: int, p: int) -> int:
     """Largest value _direct_mask_int can hold before reducing mod p: the
     n^2 products of three entries in [T e_i, T e_j], or the weighted
@@ -515,15 +540,16 @@ def _direct_worst(n: int, p: int) -> int:
     return max(n * n * (p - 1) ** 3, (p - 1) ** 2 + 2 * (p - 1))
 
 
-def _direct_mask(cm: np.ndarray, kind: OperatorKind, block: np.ndarray,
+def _direct_mask(form: _DirectForm, kind: OperatorKind, block: np.ndarray,
                  p: int, n: int) -> np.ndarray:
     if p <= 3:
-        return _direct_mask_bits(cm, kind, block, p, n)
-    return _direct_mask_int(cm, kind, block, p, n)
+        return _direct_mask_bits(form, kind, block, p, n)
+    return _direct_mask_int(form, kind, block, p, n)
 
 
-def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
-                     p: int, n: int) -> np.ndarray:
+def _direct_mask_int(form: _DirectForm, kind: OperatorKind,
+                     digits: np.ndarray, p: int, n: int) -> np.ndarray:
+    cm = form.cm
     T = digits.reshape(-1, n, n).astype(np.int16)
     btt = np.einsum("mai,mbj,abk->mijk", T, T, cm) % p
     bte = np.einsum("mai,ajk->mijk", T, cm) % p
@@ -534,8 +560,7 @@ def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
 
     axes = (1, 2, 3)
     if kind.name == "rota-baxter":
-        w = reduce_mod_p(kind.weight, p)
-        inner = (bte + bet + w * cm[None, :, :, :]) % p
+        inner = (bte + bet + form.w * cm[None, :, :, :]) % p
         return (((btt - tap(inner)) % p) == 0).all(axis=axes)
     if kind.name == "nijenhuis":
         tb = np.einsum("mqk,ijk->mijq", T, cm) % p
@@ -549,8 +574,8 @@ def _direct_mask_int(cm: np.ndarray, kind: OperatorKind, digits: np.ndarray,
     return left & right
 
 
-def _direct_mask_bits(cm: np.ndarray, kind: OperatorKind, planes: np.ndarray,
-                      p: int, n: int) -> np.ndarray:
+def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
+                      planes: np.ndarray, p: int, n: int) -> np.ndarray:
     """_direct_mask_int at p = 2 or 3 over the planes of a block, as values
     of _BIT_FIELDS, summed over the nonzero structure constants only.
 
@@ -563,8 +588,7 @@ def _direct_mask_bits(cm: np.ndarray, kind: OperatorKind, planes: np.ndarray,
     """
     add, mul = _BIT_FIELDS[p]
     width = planes.shape[-1]
-    consts = np.argwhere(cm).tolist()
-    out = sorted({k for _, _, k in consts})
+    out = form.out
     if not out:                     # a zero bracket: both sides vanish
         return np.ones(width * 64, dtype=bool)
 
@@ -588,11 +612,9 @@ def _direct_mask_bits(cm: np.ndarray, kind: OperatorKind, planes: np.ndarray,
         return acc
 
     P = tuple(planes.reshape(p - 1, n, n, width))
-    column = {k: s for s, k in enumerate(out)}
     bte, bet, btt = {}, {}, {}
     C = [np.zeros((n, n, len(out), 1), np.uint64) for _ in P]
-    for a, b, k in consts:
-        c, s = int(cm[a, b, k]), column[k]
+    for a, b, k, c, s in form.consts:
         Ta, Tb = part(P, a), part(P, b)
         if c == 2:
             Ta, Tb = Ta[::-1], Tb[::-1]
@@ -617,9 +639,8 @@ def _direct_mask_bits(cm: np.ndarray, kind: OperatorKind, planes: np.ndarray,
 
     if kind.name == "rota-baxter":
         inner = add(bte, bet)
-        w = reduce_mod_p(kind.weight, p)
-        if w:
-            inner = add(inner, C if w == 1 else C[::-1])
+        if form.w:
+            inner = add(inner, C if form.w == 1 else C[::-1])
         bad = differs(tap(inner))
     elif kind.name == "nijenhuis":
         T2 = total(mul(part(P, np.s_[:, :, None]), part(T_out, np.s_[None])),
@@ -660,10 +681,11 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     if not table.is_bound():
         raise ValueError(f"{table.name} still has unbound parameters "
                          f"{table.param_names()}")
+    w = 0
     if kind.weight is not None:
         if kind.weight.params():
             raise ValueError("the weight must be bound for finite-field work")
-        reduce_mod_p(kind.weight, p)
+        w = reduce_mod_p(kind.weight, p)
     n = table.dim
     total = p ** (n * n)
     if total > budget:
@@ -678,7 +700,8 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     if path == "direct":
         if p > 3:
             _refuse_width(_direct_worst(n, p), np.int16, path, p)
-        return partial(_direct_mask, _table_mod_p(table, p), kind, p=p, n=n)
+        return partial(_direct_mask, _direct_form(table, w, p), kind, p=p,
+                       n=n)
     raise ValueError(f"unknown evaluation path {path!r}")
 
 

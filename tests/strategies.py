@@ -10,11 +10,17 @@ taken backwards print differently.
 
 unit is the basis vector the dense reference formulas bracket with; the
 library contracts over nonzero structure constants instead.
+
+eager computes a residual with every vector up front (EagerResidual), the
+reference for ResidualTensor, which stops at the first nonzero vector.
 """
+
+from itertools import product
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from leibnizalg.algebra import AlgebraTable, ParamSpec
+from leibnizalg.algebra import AlgebraTable, ParamSpec, ResidualTensor
 from leibnizalg.exact import RE_ONE, RE_ZERO, parse_expr
 
 ENTRY_TEXTS = (
@@ -49,3 +55,44 @@ dims = st.integers(min_value=2, max_value=4)
 def walk_text(residual):
     """Every coordinate of a residual as (label, printed value)."""
     return [(label, str(value)) for label, value in residual.walk()]
+
+
+class EagerResidual:
+    """Reference residual: every vector computed when it is built, and
+    read as ResidualTensor reads its vectors."""
+
+    def __init__(self, dim, arity, coords, conditions=()):
+        self.dim = dim
+        self.conditions = conditions
+        self.entries = {index: coords(*index)
+                        for index in product(range(dim), repeat=arity)}
+
+    def walk(self):
+        q_range = range(1, self.dim + 1)
+        tails = [(q, c) for c in self.conditions for q in q_range] \
+            if self.conditions else [(q,) for q in q_range]
+        for index, vec in self.entries.items():
+            where = tuple(a + 1 for a in index)
+            for tail, value in zip(tails, vec):
+                yield where + tail, value
+
+    def first_failure(self, condition=None):
+        for label, value in self.walk():
+            if not value.is_zero and condition in (None, label[-1]):
+                return label + (value,)
+        return None
+
+    @property
+    def is_zero(self):
+        return all(v.is_zero for vec in self.entries.values() for v in vec)
+
+    def holds(self, condition):
+        return self.first_failure(condition) is None
+
+
+def eager(residual, *args):
+    """residual(*args) with ResidualTensor.tabulate building an
+    EagerResidual instead."""
+    with mock.patch.object(ResidualTensor, "tabulate",
+                           staticmethod(EagerResidual)):
+        return residual(*args)

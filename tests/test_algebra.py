@@ -1,6 +1,7 @@
 """Tests for structure-constant tables, residuals and the catalog."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,17 @@ from leibnizalg.algebra import (
     printed_variant,
     sample_bindings,
 )
+from leibnizalg.compat import mixed_residual
 from leibnizalg.exact import RatExpr, Scalar, parse_expr
-from strategies import ENTRY_TEXTS, dims, sparse_tables, unit, walk_text
+from leibnizalg.operators import KIND_NAMES, make_kind, operator_residual
+from strategies import (
+    ENTRY_TEXTS,
+    dims,
+    eager,
+    sparse_tables,
+    unit,
+    walk_text,
+)
 
 
 def make_table(name, entries, params=(), dim=4):
@@ -143,6 +153,85 @@ class TestSparseContraction:
         res = ResidualTensor(n, entries)
         assert not res.is_zero
         assert res.first_failure()[:4] == (2, 2, 2, 2)
+
+
+def _hit_text(hit):
+    return None if hit is None else hit[:-1] + (str(hit[-1]),)
+
+
+#: what a reader can ask of a residual, each as comparable text
+QUERIES = {
+    "first_failure": lambda r: _hit_text(r.first_failure()),
+    "first_left": lambda r: _hit_text(r.first_failure("left")),
+    "is_zero": lambda r: r.is_zero,
+    "left": lambda r: r.holds("left"),
+    "right": lambda r: r.holds("right"),
+    "walk": walk_text,
+    "entries": lambda r: {index: [str(v) for v in vec]
+                          for index, vec in r.entries.items()},
+}
+
+
+def walk_text_lazy(residual):
+    """walk_text as a generator, so that two walks can interleave."""
+    for label, value in residual.walk():
+        yield label, str(value)
+
+
+@st.composite
+def operator_matrices(draw, dim: int):
+    """A dim x dim operator matrix, mostly zeros, so that its residual
+    vanishes often enough."""
+    pool = ("1", "-1", "2", "mu", "i") + ("0",) * 12
+    return [[parse_expr(draw(st.sampled_from(pool))) for _ in range(dim)]
+            for _ in range(dim)]
+
+
+class TestEarlyStopping:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+               sparse_tables(n, "A"), sparse_tables(n, "B"),
+               operator_matrices(n))),
+           st.sampled_from(KIND_NAMES), st.permutations(sorted(QUERIES)))
+    def test_answers_match_the_eager_reference(self, drawn, kind_name,
+                                               order):
+        a, b, T = drawn
+        kind = make_kind(kind_name)
+        for residual, args in ((leibniz_residual, (a,)),
+                               (mixed_residual, (a, b)),
+                               (operator_residual, (a, kind, T))):
+            want = eager(residual, *args)
+            expected = {q: ask(want) for q, ask in QUERIES.items()}
+            # each question first, on a tensor of its own
+            for q, ask in QUERIES.items():
+                assert ask(residual(*args)) == expected[q], q
+            # every question of one tensor, in a drawn order
+            res = residual(*args)
+            assert {q: QUERIES[q](res) for q in order} == expected
+            # two walks of one tensor, interleaved
+            res = residual(*args)
+            pairs = list(zip(walk_text_lazy(res), walk_text_lazy(res)))
+            assert [x for x, _ in pairs] == [y for _, y in pairs] \
+                == expected["walk"]
+
+    def test_a_failing_residual_stops_at_its_first_nonzero_vector(self):
+        # [e1, e1] = e2 and [e1, e2] = e3 fail at (1, 1, 1); the 63 later
+        # vectors are left for a reader that walks on
+        t = make_table("X", [(1, 1, 2, "1"), (1, 2, 3, "1")])
+        calls = []
+        original = AlgebraTable.e_bracket
+
+        def counting(table, a, v):      # once per Leibniz vector
+            calls.append(a)
+            return original(table, a, v)
+
+        with mock.patch.object(AlgebraTable, "e_bracket", counting):
+            res = leibniz_residual(t)
+            assert not res.is_zero
+            assert res.first_failure()[:4] == (1, 1, 1, 3)
+            assert len(calls) == 1
+            assert len(res.entries) == 64 and len(calls) == 64
+            assert len(list(res.walk())) == 256 and len(calls) == 64
 
 
 class TestLowerCentralSeries:

@@ -104,7 +104,7 @@ def test_traced_scan_is_counted_through_the_module_globals(tracing):
 
 
 @pytest.mark.parametrize("name", ["f2-dual-sweep", "f3-shard-sweep",
-                                  "chart-coverage"])
+                                  "chart-coverage", "symbolic-audit"])
 def test_workload_pass_agrees_with_the_reference(workloads, name):
     ref = json.loads((BENCH / "reference.json").read_text())
     _, setup, run_pass = workloads.WORKLOADS[name]

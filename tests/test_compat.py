@@ -1,6 +1,9 @@
 """Tests for bracket-pair compatibility and the catalog pair scan."""
 
 import json
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from leibnizalg.algebra import (
     CatalogError,
     ParamSpec,
     ResidualTensor,
+    bind_params,
     catalog_map,
     combined_bracket,
     leibniz_residual,
@@ -27,7 +31,7 @@ from leibnizalg.compat import (
     _disjoin_params,
 )
 from leibnizalg.exact import RE_ZERO, RatExpr
-from strategies import dims, sparse_tables, unit, walk_text
+from strategies import dims, eager, sparse_tables, unit, walk_text
 
 
 @pytest.fixture(scope="module")
@@ -208,11 +212,11 @@ def test_scan_calls_is_compatible_through_the_module(cmap, monkeypatch):
     rep = compat_scan(tables, claimed=[])
     assert all(len(args) == 2 for args in seen)
     bound = sum(1 for a, b in seen if a.is_bound() and b.is_bound())
-    # 3 diagonal checks (L4 symbolic); L1-L3 once, at its one empty
-    # binding; L1-L4 and L3-L4 at mu = 0 and 1, and only the passing
-    # L3-L4 symbolically
-    assert len(seen) == 3 + 1 + 2 + 3
-    assert bound == 2 + 1 + 2 + 2
+    # 3 diagonal checks (L4 symbolic); every pair symbolically once (L1-L3
+    # is bound); only the failing L1-L4 again at mu = 0 and 1, since the
+    # symbolic pass of L3-L4 holds at every binding
+    assert len(seen) == 3 + 3 + 2
+    assert bound == 2 + 1 + 2
     assert rep.diagonal_compatible == ["L1", "L3", "L4"]
     assert rep.compatible == [("L1", "L3"), ("L3", "L4")]
 
@@ -234,13 +238,36 @@ def test_scan_binds_each_table_once_per_sample(monkeypatch):
     assert len(rep.pairs_checked) == 210 and len(rep.compatible) == 59
 
 
-def test_scan_reports_per_value_exceptions_with_renamed_keys(cmap):
-    # [e1, e1] = mu e2 shares L4's parameter name and is compatible with
-    # L4 only where it vanishes
+def test_scan_renames_each_clashing_pair_once(monkeypatch):
+    # all four parameterised tables call their parameter mu: one rename
+    # per diagonal check and one per pair, which the pair's checks,
+    # witness and pencils share
+    renames = []
+    original = compat.bind_params
+
+    def observed(table, bindings):
+        if any(v.params() for v in bindings.values()):
+            renames.append(table.name)
+        return original(table, bindings)
+
+    monkeypatch.setattr(compat, "bind_params", observed)
+    fresh = catalog_map()
+    rep = compat_scan([fresh[n] for n in ("L4", "L13", "L14", "L20")],
+                      claimed=[], lambda_samples=3)
+    assert len(renames) == 4 + 6
+    assert rep.lambda_checks["pairs_checked"] == len(rep.compatible) > 0
+
+
+def _x_table():
+    """[e1, e1] = mu e2: it shares L4's parameter name and is compatible
+    with L4 only where it vanishes."""
     c = [[[RE_ZERO] * 4 for _ in range(4)] for _ in range(4)]
     c[0][0][1] = RatExpr.var("mu")
-    x = AlgebraTable("X", 4, c, [ParamSpec("mu", "C")])
-    rep = compat_scan([cmap["L4"], x], claimed=[])
+    return AlgebraTable("X", 4, c, [ParamSpec("mu", "C")])
+
+
+def test_scan_reports_per_value_exceptions_with_renamed_keys(cmap):
+    rep = compat_scan([cmap["L4"], _x_table()], claimed=[])
     assert rep.diagonal_compatible == ["L4", "X"]
     assert rep.compatible == []
     assert rep.failing == [{"pair": ["X", "L4"],
@@ -267,10 +294,79 @@ def test_lambda_samples_catch_incompatible_pair(cmap):
     assert {"l1", "l2", "i", "j", "k", "q", "value"} <= set(first)
 
 
+def test_generic_pencil_settles_every_sample(cmap, monkeypatch):
+    pencils, residuals = [], []
+    original_pencil = compat.combined_bracket
+    original_residual = compat.leibniz_residual
+
+    def pencil(a, b, l1, l2):
+        pencils.append((l1, l2))
+        return original_pencil(a, b, l1, l2)
+
+    def residual(table):
+        residuals.append(table.name)
+        return original_residual(table)
+
+    monkeypatch.setattr(compat, "combined_bracket", pencil)
+    monkeypatch.setattr(compat, "leibniz_residual", residual)
+    out = lambda_sample_check(cmap["L1"], cmap["L3"], samples=50)
+    assert out == {"samples": 50, "ok": True, "failures": []}
+    assert residuals == ["L1+L3"] and len(pencils) == 1
+    # parameters named like the coefficients: the coefficients get names
+    # of their own
+    pencils.clear()
+    a = bind_params(cmap["L4"], {"mu": RatExpr.var("l1")})
+    b = bind_params(cmap["L13"], {"mu": RatExpr.var("l2")})
+    assert lambda_sample_check(a, b, samples=3)["ok"]
+    (l1, l2), = pencils
+    names = l1.params() | l2.params()
+    assert len(names) == 2 and not names & {"l1", "l2"}
+
+
 def test_lambda_samples_deterministic(cmap):
     a = lambda_sample_check(cmap["L5"], cmap["L7"], samples=10, seed=3)
     b = lambda_sample_check(cmap["L5"], cmap["L7"], samples=10, seed=3)
     assert a == b
+
+
+def per_sample_lambda_check(a, b, samples, seed):
+    """Reference: every seeded pencil, summed at every position of the
+    table and checked with every residual vector computed."""
+    b2, _ = _disjoin_params(a, b)
+    n = a.dim
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        l1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        l2 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        x, y = RatExpr.const(l1), RatExpr.const(l2)
+        c = [[[x * a.c[i][j][k] + y * b2.c[i][j][k] for k in range(n)]
+              for j in range(n)] for i in range(n)]
+        hit = eager(leibniz_residual, AlgebraTable("pencil", n, c)) \
+            .first_failure()
+        if hit is not None:
+            i, j, k, q, value = hit
+            failures.append({"l1": str(l1), "l2": str(l2), "i": i, "j": j,
+                             "k": k, "q": q, "value": str(value)})
+    return {"samples": samples, "ok": not failures, "failures": failures}
+
+
+CATALOG_NAMES = sorted(catalog_map(), key=algebra.algebra_sort_key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.sampled_from(CATALOG_NAMES),
+                 st.sampled_from(CATALOG_NAMES)),
+       dims.flatmap(lambda n: st.tuples(sparse_tables(n, "A"),
+                                        sparse_tables(n, "B"))),
+       st.integers(-1, 6), st.integers(0, 3))
+def test_lambda_sample_check_matches_the_per_sample_loop(cmap, names, drawn,
+                                                         samples, seed):
+    # catalog pairs, compatible or not, and random tables, which are
+    # seldom Leibniz, so that the seeded samples run as well
+    for a, b in ((cmap[names[0]], cmap[names[1]]), drawn):
+        assert lambda_sample_check(a, b, samples=samples, seed=seed) \
+            == per_sample_lambda_check(a, b, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +445,94 @@ def test_scan_report_serializes(subset_report):
 
 def test_scan_no_per_value_exceptions_in_subset(subset_report):
     assert subset_report.per_value_exceptions == []
+
+
+def per_binding_first_scan(tables, claimed, lambda_samples, seed, pool):
+    """Reference: the scan checking every pair at every sample binding
+    first and symbolically only when all of them pass, with pencils in
+    name order."""
+    tables = list(tables)
+    names = [t.name for t in tables]
+    diagonal = [t.name for t in tables if is_compatible(t, t)]
+    pool = algebra.SAMPLE_POOL if pool is None else pool
+    bound = [[(binding, algebra.bind_params(t, binding) if binding else t)
+              for binding in algebra.sample_bindings(t, pool)]
+             for t in tables]
+    pairs_checked, compatible, failing, exceptions = [], [], [], []
+    for (a, bound_a), (b, bound_b) in combinations(zip(tables, bound), 2):
+        pair = compat._key(a.name, b.name)
+        pairs_checked.append(pair)
+        b2, rename = _disjoin_params(a, b)
+        passing, all_pass = [], True
+        for ba, av in bound_a:
+            for bb, bv in bound_b:
+                binding = {**ba, **{rename.get(k, k): v
+                                    for k, v in bb.items()}}
+                if is_compatible(av, bv):
+                    passing.append({k: str(v) for k, v in binding.items()})
+                else:
+                    all_pass = False
+        if all_pass and (a.is_bound() and b.is_bound()
+                         or is_compatible(a, b2)):
+            compatible.append(pair)
+            continue
+        failing.append({"pair": list(pair), "witness": algebra.witness_dict(
+            pair_witness(a, b2))})
+        if passing:
+            exceptions.append({"pair": list(pair),
+                               "passing_bindings": passing})
+    known = set(names)
+    claimed_keys = [compat._key(a, b) for a, b in claimed
+                    if a in known and b in known]
+    lambda_checks = None
+    if lambda_samples > 0:
+        by_name = {t.name: t for t in tables}
+        results = []
+        for a, b in compatible:
+            out = lambda_sample_check(by_name[a], by_name[b],
+                                      samples=lambda_samples, seed=seed)
+            if not out["ok"]:
+                results.append({"pair": [a, b], "failures": out["failures"]})
+        lambda_checks = {"samples": lambda_samples,
+                         "pairs_checked": len(compatible),
+                         "ok": not results, "failures": results}
+    return PairReport(
+        names=names, pairs_checked=pairs_checked,
+        diagonal_compatible=diagonal, compatible=compatible,
+        failing=failing, per_value_exceptions=exceptions,
+        claimed=list(claimed),
+        claimed_but_failing=sorted(set(claimed_keys) - set(compatible)),
+        passing_but_unclaimed=sorted(set(compatible) - set(claimed_keys)),
+        unmatchable_claims=[(a, b) for a, b in claimed
+                            if a not in known or b not in known],
+        lambda_checks=lambda_checks)
+
+
+PARAMETERISED = ("L4", "L13", "L14", "L20")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(PARAMETERISED), min_size=1, max_size=3,
+                unique=True),
+       st.lists(st.sampled_from(("L1", "L3", "L5", "L9", "L16", "L21")),
+                max_size=2, unique=True),
+       st.booleans(), st.randoms(use_true_random=False),
+       st.sampled_from((None, (Fraction(0), Fraction(1)),
+                        (Fraction(1), Fraction(3), Fraction(-1)))),
+       st.integers(0, 3))
+def test_scan_matches_the_per_binding_first_schedule(
+        parameterised, plain, with_x, rnd, pool, lambda_samples):
+    # drawn subsets in a drawn order, so that a pair's scan order and its
+    # name order differ; X adds per-value exceptions
+    fresh = catalog_map()
+    tables = [fresh[n] for n in parameterised + plain]
+    if with_x:
+        tables.append(_x_table())
+    rnd.shuffle(tables)
+    claimed = load_claimed_pairs() + [("X", "L4"), ("L1", "X")]
+    got = compat_scan(tables, claimed=claimed, lambda_samples=lambda_samples,
+                      seed=2, pool=pool)
+    fresh = {t.name: t for t in catalog_map().values()}
+    again = [fresh.get(t.name, t) for t in tables]
+    assert got == per_binding_first_scan(again, claimed, lambda_samples, 2,
+                                         pool)

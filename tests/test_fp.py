@@ -285,6 +285,12 @@ def _planes(digits, p):
     return fp._bit_planes(digits) if p == 2 else fp._trit_planes(digits)
 
 
+def _form(table, kind, p):
+    """What the direct kernels take: the table and the weight mod p."""
+    w = 0 if kind.weight is None else reduce_mod_p(kind.weight, p)
+    return fp._direct_form(table, w, p)
+
+
 @settings(max_examples=30, deadline=None)
 @given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
@@ -299,11 +305,11 @@ def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
 @given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
     n = table.dim
-    cm = fp._table_mod_p(table, 2)
+    form = _form(table, kind, 2)
     digits = data.draw(digit_blocks(n, 2))
-    got = fp._direct_mask_bits(cm, kind, _planes(digits, 2), 2, n)
+    got = fp._direct_mask_bits(form, kind, _planes(digits, 2), 2, n)
     assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(cm, kind, digits, 2, n).tolist())
+            == fp._direct_mask_int(form, kind, digits, 2, n).tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,11 +325,11 @@ def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
 @given(mod_tables(3), kinds(), st.data())
 def test_f3_direct_kernel_matches_int_kernel(table, kind, data):
     n = table.dim
-    cm = fp._table_mod_p(table, 3)
+    form = _form(table, kind, 3)
     digits = data.draw(digit_blocks(n, 3))
-    got = fp._direct_mask_bits(cm, kind, _planes(digits, 3), 3, n)
+    got = fp._direct_mask_bits(form, kind, _planes(digits, 3), 3, n)
     assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(cm, kind, digits, 3, n).tolist())
+            == fp._direct_mask_int(form, kind, digits, 3, n).tolist())
 
 
 @pytest.mark.parametrize("path", ["compiled", "direct"])
@@ -336,7 +342,7 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
     kind = make_kind("rota-baxter", RatExpr.const(1))
     idx = np.arange(3 ** 4, dtype=np.int64)
     digits = fp._digit_block(idx, 4, 3)
-    want = idx[fp._direct_mask_int(fp._table_mod_p(table, 3), kind, digits,
+    want = idx[fp._direct_mask_int(_form(table, kind, 3), kind, digits,
                                    3, 2)].tolist()
     assert 0 < len(want) < idx.size
     assert solution_indices(table, kind, 3, path=path).tolist() == want
@@ -400,7 +406,7 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     digits = fp._digit_block(idx, n * n, p).astype(np.int32)
     cs = compile_system(table, kind, p)
     want = idx[fp._compiled_mask_int(cs, digits)].tolist()
-    assert want == idx[fp._direct_mask_int(fp._table_mod_p(table, p), kind,
+    assert want == idx[fp._direct_mask_int(_form(table, kind, p), kind,
                                            digits, p, n)].tolist()
     for path in ("compiled", "direct"):
         got = solution_indices(table, kind, p, path=path, chunk=chunk)
@@ -448,13 +454,13 @@ def _int_kernel_sweep(table, kind):
     """Full p = 2 sweep by the integer kernels, block by block."""
     n = table.dim
     cs = compile_system(table, kind, 2)
-    cm = fp._table_mod_p(table, 2)
+    form = _form(table, kind, 2)
     compiled, direct = [], []
     for start in range(0, 2 ** (n * n), 1 << 14):
         idx = np.arange(start, start + (1 << 14), dtype=np.int64)
         digits = ((idx[:, None] >> np.arange(n * n)) & 1).astype(np.int32)
         compiled.append(idx[fp._compiled_mask_int(cs, digits)])
-        direct.append(idx[fp._direct_mask_int(cm, kind, digits, 2, n)])
+        direct.append(idx[fp._direct_mask_int(form, kind, digits, 2, n)])
     return np.concatenate(compiled).tolist(), np.concatenate(direct).tolist()
 
 
@@ -516,14 +522,15 @@ def test_direct_width_guard_is_tight_and_sufficient(cmap, no_sweep):
         solution_indices(cmap["L1"], kind, 17, budget=17 ** 16,
                          path="direct")
     assert fp._direct_worst(4, 13) <= np.iinfo(np.int16).max
-    cm = fp._table_mod_p(cmap["L2"], 13)
     rng = np.random.default_rng(0)
     digits = rng.integers(0, 13, size=(200, 16))
     digits[0] = 12
     for name in KIND_NAMES:
         k = make_kind(name, 12) if name == "rota-baxter" else make_kind(name)
-        assert (fp._direct_mask_int(cm, k, digits, 13, 4).tolist()
-                == fp._direct_mask_int(cm.astype(np.int64), k, digits, 13,
+        form = _form(cmap["L2"], k, 13)
+        wide = form._replace(cm=form.cm.astype(np.int64))
+        assert (fp._direct_mask_int(form, k, digits, 13, 4).tolist()
+                == fp._direct_mask_int(wide, k, digits, 13,
                                        4).tolist())
 
 
