@@ -84,11 +84,15 @@ def _load_tables(args):
     return load_catalog(_base_dir(args) / "catalog.json")
 
 
-def _table(args, name):
-    for t in _load_tables(args):
+def _find(tables, name):
+    for t in tables:
         if t.name == name:
             return t
     raise UsageError(f"unknown algebra {name!r}")
+
+
+def _table(args, name):
+    return _find(_load_tables(args), name)
 
 
 def _families_for(args, kind_name):
@@ -429,8 +433,9 @@ def cmd_coverage(args) -> int:
 
 def cmd_compat(args) -> int:
     params = _parse_params(args.param)
-    a = _bind(_table(args, args.a), params)
-    b = _bind(_table(args, args.b), params)
+    tables = _load_tables(args)
+    a = _bind(_find(tables, args.a), params)
+    b = _bind(_find(tables, args.b), params)
     ok = is_compatible(a, b)
     witness = None if ok else pair_witness(a, b)
     samples = None

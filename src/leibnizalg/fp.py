@@ -19,30 +19,29 @@ Agreement of the two paths on a full sweep is itself a checked property.
 All arithmetic is integer arithmetic reduced mod p; no floating point is
 involved anywhere.
 
-At p = 2 both paths are bitsliced: entry t of every matrix in a block is one
-bit plane, a product is an AND of planes and a sum is an XOR.  The compiled
-path ANDs the entries of each monomial (x^e = x over F_2) and XORs the
-monomials with odd coefficient into each equation.
+At p <= 3 both paths are bitsliced, after Boothby and Bradshaw
+(arXiv:0901.1413), with one layout: a block's planes are one-hot and
+stacked by value, shape (p - 1, n*n, words), so that bit i of row t in
+plane v - 1 is set when entry t of matrix i is v.  Over F_2 a value is
+one plane, a sum is an XOR and a product an AND; over F_3 it is two
+planes (ones, twos), a sum takes six boolean operations, a product four
+ANDs and two ORs, and negation swaps the planes.  Each path has one kernel
+for both fields.  The compiled kernel ANDs the nonzero planes of a
+monomial's entries, at p = 3 XORs the twos planes of its odd-exponent
+entries into its sign (x^2 is the indicator of x != 0) and negates the
+terms with coefficient 2, and sums each equation pairwise.  For
+5 <= p <= 13 the integer kernels are used; a sweep is refused when the
+worst case of their intermediates does not fit their dtype.
 
-At p = 3 both paths are bitsliced too, after Boothby and Bradshaw
-(arXiv:0901.1413): a value is two one-hot planes (ones, twos), a sum takes
-six boolean operations and a product four ANDs and two ORs, and negation
-swaps the planes.  The compiled path ANDs the nonzero planes of a
-monomial's entries and XORs the sign planes of its odd-exponent entries
-(x^2 is the indicator of x != 0), negates the terms with coefficient 2 and
-sums each equation pairwise.  For 5 <= p <= 13 the integer kernels are
-used; a sweep is refused when the worst case of their intermediates does
-not fit their dtype.
-
-At p <= 3 the direct path is one kernel for both fields.  It reads only
-the structure constants and the weight mod p, reduced once per sweep
-together with the layout of the nonzero constants (_DirectForm), and it
-runs the integer kernel's contractions over the planes, summed over the
-nonzero structure constants only: T is applied only along the output
-coordinates that some nonzero constant has.  The catalog's tables have
-few nonzero constants (L17 has 2 of 64 mod 3), so each contraction takes a
-few plane products per constant, and applying T n^3 per output
-coordinate, in place of the n^4 products of a dense contraction.
+The bitsliced direct kernel reads only the structure constants and the
+weight mod p, reduced once per sweep together with the layout of the
+nonzero constants (_DirectForm), and it runs the integer kernel's
+contractions over the planes, summed over the nonzero structure constants
+only: T is applied only along the output coordinates that some nonzero
+constant has.  The catalog's tables have few nonzero constants (L17 has 2
+of 64 mod 3), so each contraction takes a few plane products per constant,
+and applying T n^3 per output coordinate, in place of the n^4 products of
+a dense contraction.
 
 A sweep walks aligned blocks of p^k matrices.  Within one, the counter's k
 digits above a shard's row run through a pattern that is the same in every
@@ -205,81 +204,53 @@ class CompiledSystem:
         return self.coeffs.shape[1]
 
     @cached_property
-    def f2_terms(self) -> tuple:
-        """Gather and segment arrays that evaluate the system by bit planes.
+    def bit_terms(self) -> tuple:
+        """Gather arrays and a summation plan that evaluate the system over
+        the value planes of a block (_value_planes), at p = 2 or 3.
 
-        Returns (positions, mono_starts, terms, eq_starts).  Monomial t is
-        the AND of the planes positions[mono_starts[t]:mono_starts[t + 1]];
-        exponents drop since x^e = x over F_2, and no monomial is constant
-        because every operator identity vanishes at T = 0.  Each equation
-        with an odd coefficient is the XOR of the monomials
-        terms[eq_starts[k]:eq_starts[k + 1]]; equations without one vanish
-        identically and are left out.
-        """
-        positions, mono_starts = [], []
-        for mono in self.monos:
-            mono_starts.append(len(positions))
-            positions.extend(sorted({pos for pos, _ in mono}))
-        eqs, terms = np.nonzero((self.coeffs % 2).T)
-        eq_starts = np.flatnonzero(np.diff(eqs, prepend=-1))
-        return (np.array(positions, dtype=np.intp),
-                np.array(mono_starts, dtype=np.intp), terms, eq_starts)
-
-    @cached_property
-    def f3_terms(self) -> tuple:
-        """Gather arrays and a summation plan that evaluate the system by
-        trit planes over F_3.
-
-        Returns (positions, mono_starts, odd, odd_starts, terms, levels).
-        Monomial t is nonzero where all of the planes
-        positions[mono_starts[t]:mono_starts[t + 1]] are, and its sign is
-        the XOR of the sign planes odd[odd_starts[t]:odd_starts[t + 1]],
-        the entries of odd exponent; each odd segment opens with the index
-        n*n of an all-zero sign plane, so none is empty.  terms indexes the
-        monomials' one-hot planes stacked as (ones, twos): a coefficient 2
-        indexes monomial t at M + t, which swaps its planes and so negates
-        it.  Each of the levels (left, right, single) adds the rows left to
-        the rows right pairwise and carries the rows single over, until one
-        row per equation is left; the rows are not in equation order, and
-        need not be, since the mask only asks whether any of them is
-        nonzero.
+        Returns (positions, mono_starts, odd, odd_starts, levels).
+        Monomial t is nonzero where one of the value planes of each entry
+        positions[mono_starts[t]:mono_starts[t + 1]] is set; no monomial is
+        constant, because every operator identity vanishes at T = 0.  At
+        p = 3 its sign is the XOR of the twos planes
+        odd[odd_starts[t]:odd_starts[t + 1]], the entries of odd exponent
+        (x^2 is the indicator of x != 0); each odd segment opens with the
+        index n*n of an all-zero plane, so none is empty.  Each of the
+        levels (left, right, single) adds the rows left to the rows right
+        pairwise and carries the rows single over, until one row per
+        equation is left.  The first level reads the terms off the
+        monomials' values stacked as (ones, twos): a coefficient 2, which
+        only p = 3 has, reads monomial t at M + t, which swaps its planes
+        and so negates it.  The rows are not in equation order, and need
+        not be, since the mask only asks whether any of them is nonzero.
         """
         n2 = self.n * self.n
         positions, mono_starts, odd, odd_starts = [], [], [], []
         for mono in self.monos:
             mono_starts.append(len(positions))
-            positions.extend(sorted({pos for pos, _ in mono}))
+            positions += [pos for pos, _ in mono]
             odd_starts.append(len(odd))
-            odd.append(n2)
-            odd.extend(sorted(pos for pos, e in mono if e % 2))
-        M = len(self.monos)
-        segments, terms = [], []
-        for column in self.coeffs.T:
-            mids = np.flatnonzero(column)
-            segments.append(list(range(len(terms), len(terms) + mids.size)))
-            terms.extend(mid if column[mid] == 1 else M + mid
-                         for mid in mids.tolist())
+            odd += [n2] + [pos for pos, e in mono if e % 2]
+        # one row per term, each equation's rows together
+        eqs, mids = np.nonzero(self.coeffs.T)
+        rows = mids + len(self.monos) * (self.coeffs[mids, eqs] == 2)
         levels = []
-        while any(len(seg) > 1 for seg in segments):
-            pairs = sum(len(seg) // 2 for seg in segments)
-            left, right, single, regrouped = [], [], [], []
-            for seg in segments:
-                half = len(seg) // 2
-                new = list(range(len(left), len(left) + half))
-                left += seg[0:2 * half:2]
-                right += seg[1:2 * half:2]
-                if len(seg) % 2:
-                    new.append(pairs + len(single))
-                    single.append(seg[-1])
-                regrouped.append(new)
-            segments = regrouped
-            levels.append(tuple(np.array(a, dtype=np.intp)
-                                for a in (left, right, single)))
+        while not levels or (np.diff(eqs) == 0).any():
+            first = np.diff(eqs, prepend=-1) != 0     # opens its equation
+            last = np.roll(first, -1)                 # closes it
+            idx = np.arange(eqs.size)
+            even = (idx - np.maximum.accumulate(idx * first)) % 2 == 0
+            left, single = even & ~last, even & last
+            levels.append((rows[left], rows[~even], rows[single]))
+            # the next level's rows: the sums of the pairs, then the rows
+            # carried over, each equation's together again
+            eqs = np.concatenate([eqs[left], eqs[single]])
+            rows = np.argsort(eqs, kind="stable")
+            eqs = eqs[rows]
         return (np.array(positions, dtype=np.intp),
                 np.array(mono_starts, dtype=np.intp),
                 np.array(odd, dtype=np.intp),
-                np.array(odd_starts, dtype=np.intp),
-                np.array(terms, dtype=np.intp), tuple(levels))
+                np.array(odd_starts, dtype=np.intp), tuple(levels))
 
     def worst_intermediate(self) -> int:
         """Largest value the integer kernel can hold before reducing mod p:
@@ -347,7 +318,7 @@ def _digit_block(idx: np.ndarray, n2: int, p: int,
 
     With stride, at p <= 3, idx is one aligned block of sweep_shard (see
     there) with that step, and the block's planes are returned instead:
-    _bit_planes or _trit_planes of its digits, built from the counter.
+    _value_planes of its digits, built from the counter.
     """
     if stride is not None and p <= 3:
         return _counter_planes(int(idx[0]), idx.size, n2, p, stride)
@@ -370,23 +341,24 @@ def _bit_planes(digits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _trit_planes(digits: np.ndarray) -> np.ndarray:
-    """A 0/1/2 digit block as one-hot bit planes, stacked (ones, twos): bit
-    i of row t's words in ones (twos) is set when digit t of matrix i is 1
-    (2).  Bits past the last matrix are 0, the value 0."""
-    return np.stack([_bit_planes(digits == 1), _bit_planes(digits == 2)])
+def _value_planes(digits: np.ndarray, p: int) -> np.ndarray:
+    """A digit block over F_p, p <= 3, as one-hot bit planes stacked by
+    value, shape (p - 1, n*n, words): bit i of row t's words in plane
+    v - 1 is set when digit t of matrix i is v.  Bits past the last matrix
+    are 0, the value 0."""
+    return np.stack([_bit_planes(digits == v) for v in range(1, p)])
 
 
 @lru_cache(maxsize=None)
 def _counter_pattern(p: int, k: int) -> tuple:
-    """The planes of the k low digits of the counter values 0 .. p^k - 1,
-    stacked by value as in _counter_planes, and the plane that is set for
-    every one of those p^k matrices.  Both are read-only."""
+    """The value planes of the k low digits of the counter values
+    0 .. p^k - 1, and the plane that is set for every one of those p^k
+    matrices.  Both are read-only."""
     size = p ** k
     # one byte per digit: the row-major indices of a p x ... x p grid are
     # the digits, most significant first
     digits = np.indices((p,) * k, dtype=np.uint8).reshape(k, size)[::-1].T
-    pattern = _bit_planes(digits)[None] if p == 2 else _trit_planes(digits)
+    pattern = _value_planes(digits, p)
     valid = _bit_planes(np.ones((size, 1), dtype=bool))[0]
     pattern.flags.writeable = valid.flags.writeable = False
     return pattern, valid
@@ -409,7 +381,7 @@ def _counter_planes(first: int, size: int, n2: int, p: int,
     hot = const[None, :, None] == np.arange(1, p)[:, None, None]
     planes = np.where(hot, valid, np.uint64(0))
     planes[:, s:s + k] = pattern
-    return planes[0] if p == 2 else planes
+    return planes
 
 
 def _f2_add(x: tuple, y: tuple) -> tuple:
@@ -447,10 +419,8 @@ def _solution_bits(bad: np.ndarray) -> np.ndarray:
 
 
 def _compiled_mask(cs: CompiledSystem, block: np.ndarray) -> np.ndarray:
-    if cs.p == 2:
-        return _compiled_mask_f2(cs, block)
-    if cs.p == 3:
-        return _compiled_mask_f3(cs, block)
+    if cs.p <= 3:
+        return _compiled_mask_bits(cs, block)
     return _compiled_mask_int(cs, block)
 
 
@@ -465,34 +435,29 @@ def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
     return (residues == 0).all(axis=1)
 
 
-def _compiled_mask_f2(cs: CompiledSystem, planes: np.ndarray) -> np.ndarray:
-    """The system at p = 2 over the bit planes of a block (_bit_planes)."""
-    positions, mono_starts, terms, eq_starts = cs.f2_terms
-    if terms.size == 0:
+def _compiled_mask_bits(cs: CompiledSystem,
+                        planes: np.ndarray) -> np.ndarray:
+    """The system at p = 2 or 3 over the value planes of a block
+    (_value_planes), by the plan CompiledSystem.bit_terms."""
+    positions, mono_starts, odd, odd_starts, levels = cs.bit_terms
+    if not cs.monos:
         return np.ones(planes.shape[-1] * 64, dtype=bool)
-    monos = np.bitwise_and.reduceat(planes[positions], mono_starts, axis=0)
-    eqs = np.bitwise_xor.reduceat(monos[terms], eq_starts, axis=0)
-    return _solution_bits(np.bitwise_or.reduce(eqs, axis=0))
-
-
-def _compiled_mask_f3(cs: CompiledSystem, planes: np.ndarray) -> np.ndarray:
-    """The system at p = 3 over the trit planes of a block (_trit_planes)."""
-    positions, mono_starts, odd, odd_starts, terms, levels = cs.f3_terms
-    if terms.size == 0:
-        return np.ones(planes.shape[-1] * 64, dtype=bool)
-    ones, twos = planes
-    nonzero = np.bitwise_and.reduceat((ones | twos)[positions], mono_starts,
-                                      axis=0)
-    signs = np.concatenate([twos, np.zeros_like(twos[:1])])
-    sign = np.bitwise_xor.reduceat(signs[odd], odd_starts, axis=0)
-    mono_twos = nonzero & sign
-    mono_ones = nonzero ^ mono_twos
-    x = (np.concatenate([mono_ones, mono_twos])[terms],
-         np.concatenate([mono_twos, mono_ones])[terms])
+    add, _ = _BIT_FIELDS[cs.p]
+    # a monomial is nonzero where each of its entries is; at p = 3 the sign
+    # of its odd-exponent entries splits that plane into ones and twos
+    nonzero = np.bitwise_or.reduce(planes, axis=0)
+    x = (np.bitwise_and.reduceat(nonzero[positions], mono_starts, axis=0),)
+    if cs.p == 3:
+        twos = planes[1]
+        signs = np.concatenate([twos, np.zeros_like(twos[:1])])
+        sign = np.bitwise_xor.reduceat(signs[odd], odd_starts, axis=0)
+        x = (x[0] & ~sign, x[0] & sign)
+    # the first level reads a coefficient 2 off the reversed planes
+    x = tuple(np.concatenate(v) for v in (x, x[::-1])[:len(x)])
     for left, right, single in levels:
-        pairs = _f3_add((x[0][left], x[1][left]), (x[0][right], x[1][right]))
+        pairs = add(tuple(a[left] for a in x), tuple(a[right] for a in x))
         x = tuple(np.concatenate([s, a[single]]) for s, a in zip(pairs, x))
-    return _solution_bits(np.bitwise_or.reduce(x[0] | x[1], axis=0))
+    return _solution_bits(np.bitwise_or.reduce(np.concatenate(x), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +477,12 @@ def _table_mod_p(table: AlgebraTable, p: int) -> np.ndarray:
 
 class _DirectForm(NamedTuple):
     """What the direct kernels read of one sweep, built once by
-    _direct_form: the table mod p, the weight mod p (0 without one), the
-    nonzero constants as (a, b, k, c, s) for c_ab^k = c with s the
-    position of k in out, and out, the ascending output coordinates that
-    some nonzero constant has."""
+    _direct_form: the field size p, the table mod p (n = len(cm)), the
+    weight mod p (0 without one), the nonzero constants as (a, b, k, c, s)
+    for c_ab^k = c with s the position of k in out, and out, the ascending
+    output coordinates that some nonzero constant has."""
 
+    p: int
     cm: np.ndarray
     w: int
     consts: tuple
@@ -530,7 +496,7 @@ def _direct_form(table: AlgebraTable, w: int, p: int) -> _DirectForm:
     out = sorted({k for _, _, k in abk})
     consts = tuple((a, b, k, int(cm[a, b, k]), out.index(k))
                    for a, b, k in abk)
-    return _DirectForm(cm, w, consts, out)
+    return _DirectForm(p, cm, w, consts, out)
 
 
 def _direct_worst(n: int, p: int) -> int:
@@ -540,16 +506,17 @@ def _direct_worst(n: int, p: int) -> int:
     return max(n * n * (p - 1) ** 3, (p - 1) ** 2 + 2 * (p - 1))
 
 
-def _direct_mask(form: _DirectForm, kind: OperatorKind, block: np.ndarray,
-                 p: int, n: int) -> np.ndarray:
-    if p <= 3:
-        return _direct_mask_bits(form, kind, block, p, n)
-    return _direct_mask_int(form, kind, block, p, n)
+def _direct_mask(form: _DirectForm, kind: OperatorKind,
+                 block: np.ndarray) -> np.ndarray:
+    if form.p <= 3:
+        return _direct_mask_bits(form, kind, block)
+    return _direct_mask_int(form, kind, block)
 
 
 def _direct_mask_int(form: _DirectForm, kind: OperatorKind,
-                     digits: np.ndarray, p: int, n: int) -> np.ndarray:
-    cm = form.cm
+                     digits: np.ndarray) -> np.ndarray:
+    p, cm = form.p, form.cm
+    n = len(cm)
     T = digits.reshape(-1, n, n).astype(np.int16)
     btt = np.einsum("mai,mbj,abk->mijk", T, T, cm) % p
     bte = np.einsum("mai,ajk->mijk", T, cm) % p
@@ -575,9 +542,9 @@ def _direct_mask_int(form: _DirectForm, kind: OperatorKind,
 
 
 def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
-                      planes: np.ndarray, p: int, n: int) -> np.ndarray:
-    """_direct_mask_int at p = 2 or 3 over the planes of a block, as values
-    of _BIT_FIELDS, summed over the nonzero structure constants only.
+                      planes: np.ndarray) -> np.ndarray:
+    """_direct_mask_int at p = 2 or 3 over the value planes of a block, as
+    values of _BIT_FIELDS, summed over the nonzero structure constants only.
 
     P[a, i] is entry (a, i).  Column s of bte, bet and C is coordinate
     k = out[s] of [T e_i, e_j], [e_i, T e_j] and [e_i, e_j], for the k that
@@ -586,6 +553,7 @@ def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
     [T e_i, T e_j] at every coordinate q.  Nijenhuis's T [e_i, e_j] term
     has every coordinate, and enters after tap as T^2 applied to C.
     """
+    p, n = form.p, len(form.cm)
     add, mul = _BIT_FIELDS[p]
     width = planes.shape[-1]
     out = form.out
@@ -673,9 +641,11 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     Every refusal of a sweep is made here, before any matrix is evaluated:
     a field that is not a supported prime, an unbound table, a weight that
     is unbound or has no value mod p, a sweep past the budget, an integer
-    kernel that could overflow at this p, and an unknown path.  The kernel maps a digit block to the mask of its
-    solutions.  It is a partial of a module-level mask function, so it
-    pickles: a process pool sends this one kernel to every shard job.
+    kernel that could overflow at this p, and an unknown path.  The kernel
+    maps a block (its value planes at p <= 3, its digits above) to the
+    mask of its solutions.  It is a partial of a module-level mask
+    function, so it pickles: a process pool sends this one kernel to every
+    shard job.
     """
     _check_prime(p)
     if not table.is_bound():
@@ -700,8 +670,7 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     if path == "direct":
         if p > 3:
             _refuse_width(_direct_worst(n, p), np.int16, path, p)
-        return partial(_direct_mask, _direct_form(table, w, p), kind, p=p,
-                       n=n)
+        return partial(_direct_mask, _direct_form(table, w, p), kind)
     raise ValueError(f"unknown evaluation path {path!r}")
 
 

@@ -16,7 +16,9 @@ import pytest
 
 import leibnizalg
 import leibnizalg.cli  # noqa: F401  (the tracer patches every module)
-from leibnizalg.algebra import catalog_map
+from leibnizalg.algebra import AlgebraTable, catalog_map
+from leibnizalg.exact import RatExpr
+from leibnizalg.operators import make_kind
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -112,3 +114,26 @@ def test_workload_pass_agrees_with_the_reference(workloads, name):
     out = run_pass(leibnizalg, ref, items, 1)
     assert out.attempted > 0
     assert out.failures == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_traced_sweeps_count_every_matrix(tracing, p):
+    # [e1, e1] = e2 in dimension 2, swept whole by both paths at p <= 3,
+    # where the mask kernels take value planes: every observer of the fp
+    # layers runs on them, and the counter values give the matrices swept
+    c = [[[RatExpr.const(int((i, j, k) == (0, 0, 1))) for k in range(2)]
+          for j in range(2)] for i in range(2)]
+    table = AlgebraTable("D2", 2, c)
+    kind = make_kind("nijenhuis")
+    tracer = tracing.Tracer()
+    tracer.install(leibnizalg)
+    try:
+        found = [leibnizalg.fp.solution_indices(table, kind, p, path=path)
+                 for path in ("compiled", "direct")]
+    finally:
+        tracer.uninstall()
+    assert found[0].tolist() == found[1].tolist()
+    layers = tracer.per_layer(0.0)
+    assert layers["fp.matrices_swept"] == 2 * p ** 4
+    assert layers["fp.solutions_found"] == 2 * found[0].size
+    assert layers["fp.compile_system.calls"] == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from leibnizalg import cli, fp
-from leibnizalg.algebra import data_dir
+from leibnizalg.algebra import data_dir, load_catalog
 from leibnizalg.cli import main
 
 
@@ -424,6 +424,18 @@ def test_compat_pair_exit_codes(capsys):
     payload = json.loads(out)
     assert payload["compatible"] is False
     assert payload["witness"]["value"] == "-1"
+
+
+def test_compat_loads_the_catalog_once(capsys, monkeypatch):
+    loads = []
+
+    def counted(*args):
+        loads.append(args)
+        return load_catalog(*args)
+    monkeypatch.setattr(cli, "load_catalog", counted)
+    code, out, _ = run(capsys, "compat", "L2", "L3")
+    assert code == 0 and "compatible" in out
+    assert len(loads) == 1
 
 
 def test_compat_lambda_samples(capsys):

@@ -281,8 +281,8 @@ def digit_blocks(draw, n, p):
 
 
 def _planes(digits, p):
-    """What the bitsliced kernels take: the planes of a digit block."""
-    return fp._bit_planes(digits) if p == 2 else fp._trit_planes(digits)
+    """What the bitsliced kernels take: the value planes of a digit block."""
+    return fp._value_planes(digits, p)
 
 
 def _form(table, kind, p):
@@ -296,7 +296,7 @@ def _form(table, kind, p):
 def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
     cs = compile_system(table, kind, 2)
     digits = data.draw(digit_blocks(table.dim, 2))
-    got = fp._compiled_mask_f2(cs, _planes(digits, 2))[:len(digits)]
+    got = fp._compiled_mask_bits(cs, _planes(digits, 2))[:len(digits)]
     assert (got.tolist()
             == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
 
@@ -304,12 +304,11 @@ def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
 @settings(max_examples=100, deadline=None)
 @given(mod_tables(2), kinds(), st.data())
 def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
-    n = table.dim
     form = _form(table, kind, 2)
-    digits = data.draw(digit_blocks(n, 2))
-    got = fp._direct_mask_bits(form, kind, _planes(digits, 2), 2, n)
+    digits = data.draw(digit_blocks(table.dim, 2))
+    got = fp._direct_mask_bits(form, kind, _planes(digits, 2))
     assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(form, kind, digits, 2, n).tolist())
+            == fp._direct_mask_int(form, kind, digits).tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,19 +316,18 @@ def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
 def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
     cs = compile_system(table, kind, 3)
     digits = data.draw(digit_blocks(table.dim, 3))
-    got = fp._compiled_mask_f3(cs, _planes(digits, 3))[:len(digits)]
+    got = fp._compiled_mask_bits(cs, _planes(digits, 3))[:len(digits)]
     assert got.tolist() == fp._compiled_mask_int(cs, digits).tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(mod_tables(3), kinds(), st.data())
 def test_f3_direct_kernel_matches_int_kernel(table, kind, data):
-    n = table.dim
     form = _form(table, kind, 3)
-    digits = data.draw(digit_blocks(n, 3))
-    got = fp._direct_mask_bits(form, kind, _planes(digits, 3), 3, n)
+    digits = data.draw(digit_blocks(table.dim, 3))
+    got = fp._direct_mask_bits(form, kind, _planes(digits, 3))
     assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(form, kind, digits, 3, n).tolist())
+            == fp._direct_mask_int(form, kind, digits).tolist())
 
 
 @pytest.mark.parametrize("path", ["compiled", "direct"])
@@ -342,8 +340,8 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
     kind = make_kind("rota-baxter", RatExpr.const(1))
     idx = np.arange(3 ** 4, dtype=np.int64)
     digits = fp._digit_block(idx, 4, 3)
-    want = idx[fp._direct_mask_int(_form(table, kind, 3), kind, digits,
-                                   3, 2)].tolist()
+    want = idx[fp._direct_mask_int(_form(table, kind, 3), kind,
+                                   digits)].tolist()
     assert 0 < len(want) < idx.size
     assert solution_indices(table, kind, 3, path=path).tolist() == want
     evaluate = pickle.loads(pickle.dumps(sweep_kernel(table, kind, 3,
@@ -407,7 +405,7 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     cs = compile_system(table, kind, p)
     want = idx[fp._compiled_mask_int(cs, digits)].tolist()
     assert want == idx[fp._direct_mask_int(_form(table, kind, p), kind,
-                                           digits, p, n)].tolist()
+                                           digits)].tolist()
     for path in ("compiled", "direct"):
         got = solution_indices(table, kind, p, path=path, chunk=chunk)
         assert got.tolist() == want
@@ -460,7 +458,7 @@ def _int_kernel_sweep(table, kind):
         idx = np.arange(start, start + (1 << 14), dtype=np.int64)
         digits = ((idx[:, None] >> np.arange(n * n)) & 1).astype(np.int32)
         compiled.append(idx[fp._compiled_mask_int(cs, digits)])
-        direct.append(idx[fp._direct_mask_int(form, kind, digits, 2, n)])
+        direct.append(idx[fp._direct_mask_int(form, kind, digits)])
     return np.concatenate(compiled).tolist(), np.concatenate(direct).tolist()
 
 
@@ -529,9 +527,8 @@ def test_direct_width_guard_is_tight_and_sufficient(cmap, no_sweep):
         k = make_kind(name, 12) if name == "rota-baxter" else make_kind(name)
         form = _form(cmap["L2"], k, 13)
         wide = form._replace(cm=form.cm.astype(np.int64))
-        assert (fp._direct_mask_int(form, k, digits, 13, 4).tolist()
-                == fp._direct_mask_int(wide, k, digits, 13,
-                                       4).tolist())
+        assert (fp._direct_mask_int(form, k, digits).tolist()
+                == fp._direct_mask_int(wide, k, digits).tolist())
 
 
 def test_primality_check_is_fast_and_exact():
