@@ -97,7 +97,7 @@ class AlgebraTable:
     """An n-dimensional algebra given by structure constants."""
 
     __slots__ = ("name", "dim", "c", "params", "_nonzero", "_left",
-                 "_right", "_leibniz")
+                 "_right", "_leibniz", "_apart")
 
     def __init__(self, name: str, dim: int, c, params=()):
         self.name = name
@@ -117,6 +117,9 @@ class AlgebraTable:
         self._right = tuple(tuple((i, k, val) for i, j, k, val in self._nonzero
                                   if j == b) for b in range(dim))
         self._leibniz = None
+        # copies with parameters renamed apart (compat._disjoin_params), by
+        # the names they avoid; kept, like the verdict, as the table is fixed
+        self._apart = {}
 
     def param_names(self):
         return [p.name for p in self.params]

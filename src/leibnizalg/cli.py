@@ -179,7 +179,7 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.name:
         raise UsageError("catalog show needs an algebra name")
-    t = _table(args, args.name)
+    t = _find(tables, args.name)
     entries = [[i + 1, j + 1, k + 1, str(t.c[i][j][k])]
                for i in range(t.dim) for j in range(t.dim)
                for k in range(t.dim) if not t.c[i][j][k].is_zero]
@@ -350,10 +350,11 @@ def _sweep(args):
     the kind, read the field, and sweep.
 
     The kernel is built once, making every refusal before any worker
-    starts; with --shards K > 1, a pool of at most K processes (no more
-    than there are shards or CPUs) runs that kernel over the p^n shards.
-    Returns (source table, parsed --param values, bound table, kind, p,
-    ascending solution indices).
+    starts.  A sweep within DEFAULT_BUDGET, or on one CPU, runs in this
+    process; a larger one runs its p^n shards on a pool of min(p^n, CPU
+    count) processes, each shard job carrying only the kernel and its
+    shard number.  Returns (source table, parsed --param values, bound
+    table, kind, p, ascending solution indices).
     """
     source = _table(args, args.name)
     params = _parse_params(args.param)
@@ -362,14 +363,12 @@ def _sweep(args):
     if kind.name == "rota-baxter" and kind.weight.params():
         raise UsageError("--weight must be a constant for finite-field work")
     p = _field(args)
-    if args.shards < 1:
-        raise UsageError("--shards must be at least 1")
     evaluate = sweep_kernel(table, kind, p, budget=args.budget,
                             path=args.path)
     n = table.dim
-    if args.shards == 1:
+    workers = min(p ** n, os.cpu_count() or 1)
+    if p ** (n * n) <= DEFAULT_BUDGET or workers == 1:
         return source, params, table, kind, p, sweep_shard(evaluate, n, p)
-    workers = min(args.shards, p ** n, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(partial(sweep_shard, evaluate, n, p),
                               range(p ** n)))
@@ -611,8 +610,6 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help=f"largest sweep allowed (default "
                             f"{DEFAULT_BUDGET})")
-        p.add_argument("--shards", type=int, default=1,
-                       help="worker processes for the sweep (default 1)")
         p.add_argument("--path", choices=("compiled", "direct"),
                        default="compiled",
                        help="evaluation path (default compiled)")

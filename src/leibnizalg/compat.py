@@ -72,20 +72,25 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
 
 def _disjoin_params(a: AlgebraTable, b: AlgebraTable):
     """Rename b's parameters that clash with a's, so the pair is checked
-    with independent symbolic parameters."""
-    clashes = set(a.param_names()) & set(b.param_names())
+    with independent symbolic parameters.  The copy depends on a's
+    parameter names only, so it is made once per set of names and kept on
+    b, and with it its Leibniz verdict."""
+    avoid = frozenset(a.param_names())
+    clashes = avoid & set(b.param_names())
     if not clashes:
         return b, {}
-    rename = {}
-    taken = set(a.param_names()) | set(b.param_names())
-    for name in sorted(clashes):
-        fresh = name + "_b"
-        while fresh in taken:
-            fresh += "b"
-        taken.add(fresh)
-        rename[name] = fresh
-    return bind_params(b, {k: RatExpr.var(v) for k, v in rename.items()}), \
-        rename
+    if avoid not in b._apart:
+        rename = {}
+        taken = set(avoid) | set(b.param_names())
+        for name in sorted(clashes):
+            fresh = name + "_b"
+            while fresh in taken:
+                fresh += "b"
+            taken.add(fresh)
+            rename[name] = fresh
+        b._apart[avoid] = bind_params(
+            b, {k: RatExpr.var(v) for k, v in rename.items()}), rename
+    return b._apart[avoid]
 
 
 def is_compatible(a: AlgebraTable, b: AlgebraTable) -> bool:
@@ -196,10 +201,10 @@ def compat_scan(tables, *, claimed=None, lambda_samples: int = 0,
     with that many random bracket pencils.
 
     Each table is bound at its sample bindings once, before the pair loop,
-    and each pair's second table is renamed apart from the first once
-    (_disjoin_params); the checks of a pair, its witness and its pencils
-    all use that one copy.  Leibniz verdicts are kept on the tables
-    (AlgebraTable.is_leibniz).
+    and renamed apart from the parameter names of the tables it is paired
+    with once per set of names (_disjoin_params); the checks of a pair, its
+    witness and its pencils all use that one copy.  Leibniz verdicts are
+    kept on the tables (AlgebraTable.is_leibniz).
     """
     tables = list(tables)
     names = [t.name for t in tables]

@@ -43,12 +43,12 @@ of 64 mod 3), so each contraction takes a few plane products per constant,
 and applying T n^3 per output coordinate, in place of the n^4 products of
 a dense contraction.
 
-A sweep walks aligned blocks of p^k matrices.  Within one, the counter's k
-digits above a shard's row run through a pattern that is the same in every
-block, and every other digit is fixed.  So at p <= 3 the planes of a block
-are read off the counter: the pattern's planes are built once per (p, k),
-and a fixed digit's plane is all ones or all zeros.  No matrix is decoded
-digit by digit and no plane is packed per block.
+A sweep walks aligned blocks of p^k <= 2^14 matrices in this process.
+Within one, the counter's k digits above a shard's row run through a pattern
+that is the same in every block, and every other digit is fixed.  So at
+p <= 3 the planes of a block are read off the counter: the pattern's planes
+are built once per (p, k), and a fixed digit's plane is all ones or zeros.
+No matrix is decoded digit by digit and no plane is packed per block.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -96,6 +96,8 @@ from .operators import OperatorFamily, OperatorKind, build_system, \
 #: the caller raises the budget explicitly (2^16 admits the full p=2 sweep
 #: for 4x4 matrices; p=3 needs 3^16 ~ 43M and must be asked for)
 DEFAULT_BUDGET = 1 << 16
+#: a sweep block is the largest power of p not above this many matrices
+_BLOCK = 1 << 14
 
 COVERAGE_NOTE = ("finite-field coverage is evidence, not proof: charts are "
                  "compared with the brute-force solution set over F_p only, "
@@ -676,19 +678,18 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
 
 def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,
                      budget: int = DEFAULT_BUDGET, path: str = "compiled",
-                     shard: int | None = None,
-                     chunk: int = 1 << 14) -> np.ndarray:
+                     shard: int | None = None) -> np.ndarray:
     """Counter values of all solution matrices, ascending.
 
     The kernel from sweep_kernel, which makes every refusal, run through
-    sweep_shard; shard has the meaning it has there.
+    sweep_shard in this process; shard has the meaning it has there.
     """
     evaluate = sweep_kernel(table, kind, p, budget=budget, path=path)
-    return sweep_shard(evaluate, table.dim, p, shard, chunk)
+    return sweep_shard(evaluate, table.dim, p, shard)
 
 
-def sweep_shard(evaluate, n: int, p: int, shard: int | None = None,
-                chunk: int = 1 << 14) -> np.ndarray:
+def sweep_shard(evaluate, n: int, p: int,
+                shard: int | None = None) -> np.ndarray:
     """Counter values, ascending, of the n x n matrices over F_p that the
     kernel evaluate (from sweep_kernel) accepts.
 
@@ -698,14 +699,12 @@ def sweep_shard(evaluate, n: int, p: int, shard: int | None = None,
     all of them and merge the parts.
 
     The matrices are walked in aligned blocks of p^k, the largest power of
-    p not above chunk and not above the p^(n*n - n) matrices of a shard (or
+    p not above _BLOCK and not above the p^(n*n - n) matrices of a shard (or
     the p^(n*n) of the whole sweep).  Within a block the counter's k digits
     above the shard's row run through all their values and every other
     digit is fixed, so at p <= 3 _digit_block reads the block's planes off
     the counter, and the kernel takes those.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, not {chunk}")
     total = p ** (n * n)
     first, stride = 0, 1
     if shard is not None:
@@ -714,7 +713,7 @@ def sweep_shard(evaluate, n: int, p: int, shard: int | None = None,
             raise ValueError(f"shard must lie in [0, {stride})")
     span = total // stride
     size = 1
-    while size * p <= min(chunk, span):
+    while size * p <= min(_BLOCK, span):
         size *= p
     hits = []
     for start in range(0, span, size):

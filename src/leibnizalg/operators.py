@@ -424,12 +424,17 @@ def audit_summary(rows):
 
 
 def dimension_report(cmap: dict, fams, kind_name: str, audit_rows=None):
-    """Max verified family dimension per algebra vs the claimed global range."""
+    """Max verified family dimension per algebra vs the claimed global range.
+
+    Only whether a family holds is read, and the any-weight recheck of a
+    rota-baxter chart changes no such verdict, so without audit_rows the
+    families are audited with symbolic_weight=False.
+    """
     if kind_name not in KIND_NAMES:
         raise ValueError(f"unknown operator kind {kind_name!r}")
     fams = [f for f in fams if f.kind == kind_name]
     if audit_rows is None:
-        audit_rows = audit_families(cmap, fams)
+        audit_rows = audit_families(cmap, fams, symbolic_weight=False)
     status = {(r["algebra"], r["index"]): r["status"] for r in audit_rows
               if r["kind"] == kind_name}
     per_algebra = {}

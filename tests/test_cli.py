@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, output discipline, determinism."""
 
 import json
-import os
+import shlex
 import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leibnizalg import cli, fp
-from leibnizalg.algebra import data_dir, load_catalog
+from leibnizalg.algebra import bind_params, data_dir, load_catalog
 from leibnizalg.cli import main
+from leibnizalg.exact import RatExpr
+from leibnizalg.operators import make_kind
 
 
 def run(capsys, *argv):
@@ -25,6 +28,18 @@ def run(capsys, *argv):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_readme_commands_parse():
+    # every command line of the README's command block, as documented
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [shlex.split(line, comments=True)
+             for line in readme.read_text().splitlines()
+             if line.startswith("leibnizalg ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).func, argv
 
 
 def test_no_command_is_usage_error(capsys):
@@ -84,6 +99,24 @@ def test_catalog_show_prints_products(capsys):
     assert code == 0
     assert "parameter mu in {0,1}" in out
     assert "[e1, e2] -> mu * e4" in out
+
+
+@pytest.fixture
+def catalog_loads(monkeypatch):
+    """The arguments of every catalog load the CLI makes."""
+    loads = []
+
+    def counted(*args):
+        loads.append(args)
+        return load_catalog(*args)
+    monkeypatch.setattr(cli, "load_catalog", counted)
+    return loads
+
+
+def test_catalog_show_loads_the_catalog_once(capsys, catalog_loads):
+    code, out, _ = run(capsys, "catalog", "show", "L4")
+    assert code == 0 and out.startswith("L4  (dim 4)")
+    assert len(catalog_loads) == 1
 
 
 def test_catalog_json_is_canonical(capsys):
@@ -292,14 +325,17 @@ def test_enumerate_refuses_prime_past_kernel_width(capsys, monkeypatch,
 
 def test_sharded_enumerate_refuses_before_starting_workers(capsys,
                                                           monkeypatch):
+    # both sweeps lie past DEFAULT_BUDGET, so on two CPUs they would run
+    # on a pool, had they not been refused
     def pool_started(*args, **kwargs):
         raise AssertionError("the worker pool started")
     monkeypatch.setattr(cli, "ProcessPoolExecutor", pool_started)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for extra in (["--field", "3"],
                   ["--field", "17", "--budget", str(17 ** 16),
                    "--path", "direct"]):
         code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
-                           "--shards", "2", *extra)
+                           *extra)
         assert code == 2
         assert "refused" in err
 
@@ -317,39 +353,61 @@ def test_enumerate_requires_bound_parameters(capsys):
     assert code == 2
 
 
-def test_enumerate_sharded_matches_single(capsys):
-    # the workers receive the bound table and kind, parameters included
-    for argv in (["L1", "--op", "nijenhuis"],
-                 ["L4", "--op", "averaging", "--param", "mu=1"]):
-        argv = ["enumerate", *argv, "--limit", "0", "--format", "json"]
-        single = run(capsys, *argv, "--shards", "1")
-        sharded = run(capsys, *argv, "--shards", "2")
-        assert single[0] == sharded[0] == 0
-        assert single[1] == sharded[1]
+def _two_dim_catalog(tmp_path):
+    """A --data-dir with T2, [e1, e1] = e2 and [e2, e1] = mu e2: in
+    dimension 2 a sweep past DEFAULT_BUDGET (17^4 = 83521 matrices at
+    p = 17) takes well under a second."""
+    (tmp_path / "catalog.json").write_text(json.dumps(
+        [{"name": "T2", "dim": 2,
+          "params": [{"name": "mu", "admissible": "C"}],
+          "entries": [[1, 1, 2, "1"], [2, 1, 2, "mu"]]}]))
+    return str(tmp_path)
+
+
+def test_enumerate_sharded_matches_single(capsys, monkeypatch, tmp_path):
+    # past DEFAULT_BUDGET a real pool sweeps the shards: the workers
+    # receive the bound table and kind, parameters included, and the
+    # merged parts print as the in-process sweep does, byte for byte
+    base = ["enumerate", "T2", "--op", "nijenhuis", "--param", "mu=3",
+            "--field", "17", "--budget", str(17 ** 4), "--limit", "0",
+            "--data-dir", _two_dim_catalog(tmp_path)]
+    table = bind_params(load_catalog(tmp_path / "catalog.json")[0],
+                        {"mu": RatExpr.const(3)})
+    want = fp.solution_indices(table, make_kind("nijenhuis"), 17,
+                               budget=17 ** 4)
+    assert 1 < want.size < 17 ** 4
+    for fmt in ("text", "json"):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        single = run(capsys, *base, "--format", fmt)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        sharded = run(capsys, *base, "--format", fmt)
+        assert single == sharded
+        assert single[0] == 0
+    payload = json.loads(sharded[1])
+    assert [s["index"] for s in payload["solutions"]] == want.tolist()
 
 
 def test_enumerate_sharded_matches_single_over_odd_primes(capsys, tmp_path):
-    # a two-dimensional table keeps p^(n*n) small enough to sweep at p > 2
-    (tmp_path / "catalog.json").write_text(json.dumps(
-        [{"name": "T2", "dim": 2, "entries": [[1, 1, 2, "1"]]}]))
-    for op in (["--op", "nijenhuis", "--field", "3"],
-               ["--op", "rota-baxter", "--weight", "1", "--field", "5"]):
+    # every sweep here is within DEFAULT_BUDGET and runs in-process; its
+    # output is the merge of the shards swept one by one
+    data = _two_dim_catalog(tmp_path)
+    table = bind_params(load_catalog(tmp_path / "catalog.json")[0],
+                        {"mu": RatExpr.const(1)})
+    for op, kind, field in (
+            (["--op", "nijenhuis"], make_kind("nijenhuis"), 3),
+            (["--op", "rota-baxter", "--weight", "1"],
+             make_kind("rota-baxter", RatExpr.const(1)), 5)):
         for path in ("compiled", "direct"):
-            argv = ["enumerate", "T2", *op, "--path", path, "--limit", "0",
-                    "--data-dir", str(tmp_path), "--format", "json"]
-            single = run(capsys, *argv, "--shards", "1")
-            sharded = run(capsys, *argv, "--shards", "2")
-            assert single[0] == sharded[0] == 0
-            assert single[1] == sharded[1]
-            assert json.loads(single[1])["count"] > 1
-
-
-def test_shards_below_one_is_usage_error(capsys):
-    for shards in ("0", "-3"):
-        code, _, err = run(capsys, "enumerate", "L1", "--op", "nijenhuis",
-                           "--shards", shards)
-        assert code == 2
-        assert "--shards" in err
+            argv = ["enumerate", "T2", *op, "--field", str(field),
+                    "--param", "mu=1", "--path", path, "--limit", "0",
+                    "--data-dir", data, "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            got = [s["index"] for s in json.loads(out)["solutions"]]
+            parts = [fp.solution_indices(table, kind, field, path=path,
+                                         shard=s) for s in range(field ** 2)]
+            assert got == np.sort(np.concatenate(parts)).tolist()
+            assert len(got) > 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,7 +423,8 @@ def test_negative_count_is_usage_error(capsys, argv):
     assert "non-negative integer" in err
 
 
-def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch):
+def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
+                                                  tmp_path):
     sizes = []
 
     class InlinePool:
@@ -391,14 +450,26 @@ def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch):
         return compile_system(*args)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(fp, "compile_system", counted)
-    argv = ["enumerate", "L1", "--op", "nijenhuis", "--limit", "0",
-            "--format", "json"]
-    single = run(capsys, *argv, "--shards", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # the full F_2 sweep of L1 is within DEFAULT_BUDGET: no pool
+    run(capsys, "enumerate", "L1", "--op", "nijenhuis", "--limit", "0")
     assert sizes == [] and len(compiled) == 1
-    huge = run(capsys, *argv, "--shards", "100000")
-    assert sizes == [min(16, os.cpu_count() or 1)]
+    # past it, min(p^n, CPUs) workers for the 289 shards at p = 17
+    argv = ["enumerate", "T2", "--op", "nijenhuis", "--param", "mu=2",
+            "--field", "17", "--budget", str(17 ** 4), "--limit", "0",
+            "--data-dir", _two_dim_catalog(tmp_path), "--format", "json"]
+    pooled = run(capsys, *argv)
+    assert sizes == [4]
     assert len(compiled) == 2   # once per sweep, not once per shard
-    assert huge == single
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    assert run(capsys, *argv) == pooled
+    assert sizes == [4, 289]
+    # and none on one CPU, or when the count is unknown
+    for cpus in (1, None):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run(capsys, *argv) == pooled
+    assert sizes == [4, 289]
+    assert pooled[0] == 0 and json.loads(pooled[1])["count"] > 1
 
 
 def test_coverage_reports_charts(capsys):
@@ -426,16 +497,10 @@ def test_compat_pair_exit_codes(capsys):
     assert payload["witness"]["value"] == "-1"
 
 
-def test_compat_loads_the_catalog_once(capsys, monkeypatch):
-    loads = []
-
-    def counted(*args):
-        loads.append(args)
-        return load_catalog(*args)
-    monkeypatch.setattr(cli, "load_catalog", counted)
+def test_compat_loads_the_catalog_once(capsys, catalog_loads):
     code, out, _ = run(capsys, "compat", "L2", "L3")
     assert code == 0 and "compatible" in out
-    assert len(loads) == 1
+    assert len(catalog_loads) == 1
 
 
 def test_compat_lambda_samples(capsys):

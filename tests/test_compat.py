@@ -179,10 +179,10 @@ def test_leibniz_cache_computes_each_table_once(leibniz_calls):
     assert is_compatible(fresh["L3"], fresh["L1"])
     assert is_compatible(fresh["L1"], fresh["L1"])
     assert leibniz_calls == ["L1", "L3"]
-    # each call renames a fresh copy of L4, a table of its own
+    # the first call renames a copy of L4, a table of its own, kept on L4
     assert is_compatible(fresh["L4"], fresh["L4"])
     assert is_compatible(fresh["L4"], fresh["L4"])
-    assert leibniz_calls == ["L1", "L3", "L4", "L4", "L4"]
+    assert leibniz_calls == ["L1", "L3", "L4", "L4"]
 
 
 def test_leibniz_cache_keeps_failing_verdicts(leibniz_calls):
@@ -239,9 +239,9 @@ def test_scan_binds_each_table_once_per_sample(monkeypatch):
 
 
 def test_scan_renames_each_clashing_pair_once(monkeypatch):
-    # all four parameterised tables call their parameter mu: one rename
-    # per diagonal check and one per pair, which the pair's checks,
-    # witness and pencils share
+    # all four parameterised tables call their parameter mu: each is
+    # renamed apart from mu once, for its diagonal check and every pair it
+    # is second in, whose checks, witness and pencils share the copy
     renames = []
     original = compat.bind_params
 
@@ -254,8 +254,23 @@ def test_scan_renames_each_clashing_pair_once(monkeypatch):
     fresh = catalog_map()
     rep = compat_scan([fresh[n] for n in ("L4", "L13", "L14", "L20")],
                       claimed=[], lambda_samples=3)
-    assert len(renames) == 4 + 6
+    assert sorted(renames) == ["L13", "L14", "L20", "L4"]
     assert rep.lambda_checks["pairs_checked"] == len(rep.compatible) > 0
+
+
+def test_scan_computes_one_leibniz_residual_per_distinct_table(
+        leibniz_calls):
+    # the 4 tables, one renamed copy of each and the 13 sample bindings
+    fresh = catalog_map()
+    compat_scan([fresh[n] for n in ("L4", "L13", "L14", "L20")],
+                claimed=[])
+    assert len(leibniz_calls) == 4 + 4 + 13
+    # a pair's verdict and witness outside a scan share one copy too
+    a, b = fresh["L13"], fresh["L14"]
+    assert _disjoin_params(a, b) is _disjoin_params(b, b)
+    is_compatible(a, b)
+    pair_witness(a, b)
+    assert len(leibniz_calls) == 4 + 4 + 13
 
 
 def _x_table():

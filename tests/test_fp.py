@@ -137,11 +137,9 @@ def test_paths_agree_on_examples(cmap):
 
 def test_sharding_partitions_the_sweep(cmap, l1_nij_solutions):
     kind = make_kind("nijenhuis")
-    # a chunk that is not a power of 2 walks blocks of the largest power
-    # of 2 below it
-    for path, chunk in (("compiled", 1 << 14), ("direct", 1000)):
-        parts = [solution_indices(cmap["L1"], kind, 2, shard=s, path=path,
-                                  chunk=chunk) for s in range(16)]
+    for path in ("compiled", "direct"):
+        parts = [solution_indices(cmap["L1"], kind, 2, shard=s, path=path)
+                 for s in range(16)]
         merged = sorted(int(m) for part in parts for m in part.tolist())
         assert merged == l1_nij_solutions.tolist()
         # each shard only holds matrices with its first row
@@ -357,48 +355,54 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
-    # every block sweep_shard walks, whole sweeps and shards: the planes
-    # read off the counter are the planes of the block's digits, padding
-    # bits of the last word included; at n = 1 a block is shorter than one
-    # word, and no power of 3 fills its last word
+    # every block sweep_shard walks, whole sweeps and shards, and every
+    # aligned block of p^k matrices they hold: the planes read off the
+    # counter are the planes of the block's digits, padding bits of the
+    # last word included; at n = 1 a block is shorter than one word, and
+    # no power of 3 fills its last word
     digit_block = fp._digit_block
-    blocks = []
+    walked = []
 
     def recorded(idx, n2, p, stride):
         planes = digit_block(idx, n2, p, stride)
-        blocks.append((idx, planes))
+        walked.append((idx, planes))
         return planes
     monkeypatch.setattr(fp, "_digit_block", recorded)
 
     def accept_all(planes):
         return np.ones(planes.shape[-1] * 64, dtype=bool)
     total, rows = p ** (n * n), p ** n
-    for chunk in (1, 7, 64, 1000, 1 << 14):
-        for shard in (None, 0, 1, rows - 1):
-            first, stride = (0, 1) if shard is None else (shard, rows)
-            span = total // stride
-            size = max(p ** k for k in range(n * n + 1)
-                       if p ** k <= min(chunk, span))
+    for shard in (None, 0, 1, rows - 1):
+        first, stride = (0, 1) if shard is None else (shard, rows)
+        span = total // stride
+        sizes = [p ** k for k in range(n * n + 1) if p ** k <= span]
+        walked.clear()
+        got = sweep_shard(accept_all, n, p, shard)
+        assert got.tolist() == list(range(first, total, stride))
+        assert {idx.size for idx, _ in walked} == \
+            {max(size for size in sizes if size <= fp._BLOCK)}
+        blocks = list(walked)
+        for size in sizes:
             if span // size > 1 << 12:
                 continue    # 3^9 blocks of one matrix; its shards are walked
-            blocks.clear()
-            got = sweep_shard(accept_all, n, p, shard, chunk)
-            assert got.tolist() == list(range(first, total, stride))
-            assert {idx.size for idx, _ in blocks} == {size}
-            for idx, planes in blocks:
-                want = _planes(digit_block(idx, n * n, p), p)
-                assert planes.dtype == want.dtype
-                assert np.array_equal(planes, want), (chunk, shard, idx[0])
+            for start in range(0, span, size):
+                idx = first + stride * np.arange(start, start + size)
+                blocks.append((idx, fp._counter_planes(int(idx[0]), size,
+                                                       n * n, p, stride)))
+        for idx, planes in blocks:
+            want = _planes(digit_block(idx, n * n, p), p)
+            assert planes.dtype == want.dtype
+            assert np.array_equal(planes, want), (shard, idx.size, idx[0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((2, 3)), st.data())
 def test_small_sweeps_match_the_int_kernels(p, data):
     # whole sweeps and every shard of dimension 1 and 2 tables through the
-    # bitsliced kernels, block sizes 1, p or p^2 and the whole span
+    # bitsliced kernels, each walked as one block of 1, p, p^2 or p^4
+    # matrices
     table = data.draw(mod_tables(p, dims=(1, 2)))
     kind = data.draw(kinds())
-    chunk = data.draw(st.sampled_from((1, 7, 1 << 14)))
     n = table.dim
     idx = np.arange(p ** (n * n), dtype=np.int64)
     digits = fp._digit_block(idx, n * n, p).astype(np.int32)
@@ -407,23 +411,11 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     assert want == idx[fp._direct_mask_int(_form(table, kind, p), kind,
                                            digits)].tolist()
     for path in ("compiled", "direct"):
-        got = solution_indices(table, kind, p, path=path, chunk=chunk)
+        got = solution_indices(table, kind, p, path=path)
         assert got.tolist() == want
-        parts = [solution_indices(table, kind, p, path=path, shard=s,
-                                  chunk=chunk) for s in range(p ** n)]
+        parts = [solution_indices(table, kind, p, path=path, shard=s)
+                 for s in range(p ** n)]
         assert np.sort(np.concatenate(parts)).tolist() == want
-
-
-@pytest.mark.parametrize("chunk", [0, -5])
-def test_nonpositive_chunk_is_refused_before_any_block(cmap, no_sweep,
-                                                       chunk):
-    kind = make_kind("nijenhuis")
-    with pytest.raises(ValueError, match="chunk"):
-        solution_indices(cmap["L1"], kind, 2, chunk=chunk)
-    evaluate = sweep_kernel(cmap["L1"], kind, 2)
-    for shard in (None, 3):
-        with pytest.raises(ValueError, match="chunk"):
-            sweep_shard(evaluate, 4, 2, shard, chunk)
 
 
 def _scalars(p):

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leibnizalg.operators as operators
 from leibnizalg.algebra import AlgebraTable, CatalogError, ResidualTensor, \
     catalog_map
 from leibnizalg.exact import (
@@ -728,6 +729,22 @@ def test_dimension_report_uses_verified_families_only(cmap, families, audit):
                 if r["kind"] == "rota-baxter" and r["status"].startswith("holds")}
     for name, info in rep["per_algebra"].items():
         assert (name, info["family_index"]) in verified
+
+
+def test_dimension_report_skips_the_any_weight_recheck(cmap, families,
+                                                        audit, monkeypatch):
+    calls = []
+    original = operators.verify_family
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(operators, "verify_family", counted)
+    rep = dimension_report(cmap, families, "rota-baxter")
+    # one weight-0 check per well-formed rota-baxter family
+    fams = [f for f in families if f.kind == "rota-baxter"]
+    assert len(calls) == sum(not f.malformed for f in fams) == 101
+    assert rep == dimension_report(cmap, families, "rota-baxter", audit)
 
 
 def test_dimension_report_empty_without_verified_families(cmap):
