@@ -19,29 +19,32 @@ Agreement of the two paths on a full sweep is itself a checked property.
 All arithmetic is integer arithmetic reduced mod p; no floating point is
 involved anywhere.
 
-At p <= 3 both paths are bitsliced, after Boothby and Bradshaw
-(arXiv:0901.1413), with one layout: a block's planes are one-hot and
-stacked by value, shape (p - 1, n*n, words), so that bit i of row t in
-plane v - 1 is set when entry t of matrix i is v.  Over F_2 a value is
-one plane, a sum is an XOR and a product an AND; over F_3 it is two
-planes (ones, twos), a sum takes six boolean operations, a product four
-ANDs and two ORs, and negation swaps the planes.  Each path has one kernel
-for both fields.  The compiled kernel ANDs the nonzero planes of a
-monomial's entries, at p = 3 XORs the twos planes of its odd-exponent
-entries into its sign (x^2 is the indicator of x != 0) and negates the
-terms with coefficient 2, and sums each equation pairwise.  For
-5 <= p <= 13 the integer kernels are used; a sweep is refused when the
-worst case of their intermediates does not fit their dtype.
+Both paths store a block's values in one field record per prime
+(_field).  At p <= 3 they are bitsliced, after Boothby and Bradshaw
+(arXiv:0901.1413): a block's planes are one-hot and stacked by value,
+shape (p - 1, n*n, words), so that bit i of row t in plane v - 1 is set
+when entry t of matrix i is v.  Over F_2 a value is one plane, a sum is an
+XOR and a product an AND; over F_3 it is two planes (ones, twos), a sum
+takes six boolean operations, a product four ANDs and two ORs, and
+negation swaps the planes.  Above p = 3 a value is one plane of int64
+digits, reduced mod p after every operation.
 
-The bitsliced direct kernel reads only the structure constants and the
-weight mod p, reduced once per sweep together with the layout of the
-nonzero constants (_DirectForm), and it runs the integer kernel's
-contractions over the planes, summed over the nonzero structure constants
-only: T is applied only along the output coordinates that some nonzero
-constant has.  The catalog's tables have few nonzero constants (L17 has 2
-of 64 mod 3), so each contraction takes a few plane products per constant,
-and applying T n^3 per output coordinate, in place of the n^4 products of
-a dense contraction.
+The compiled path ANDs the nonzero planes of a monomial's entries, at
+p = 3 XORs the twos planes of its odd-exponent entries into its sign (x^2
+is the indicator of x != 0) and negates the terms with coefficient 2, and
+sums each equation pairwise.  Above p = 3 its int32 kernel is refused
+where the worst case of its intermediates does not fit.
+
+The direct path has one kernel for every prime.  It reads only the
+structure constants and the weight mod p, reduced once per sweep with the
+layout of the nonzero constants (_DirectForm), and applies the field's
+operations over the planes, summed over the nonzero constants only: T is
+applied only along the output coordinates that some nonzero constant has.
+The catalog's tables have few nonzero constants (L17 has 2 of 64 mod 3),
+so each contraction takes a few plane products per constant, and applying
+T n^3 per output coordinate, in place of the n^4 products of a dense
+contraction.  Its largest intermediate, a product of two values below p,
+must fit int64.
 
 A sweep walks aligned blocks of p^k <= 2^14 matrices in this process.
 Within one, the counter's k digits above a shard's row run through a pattern
@@ -318,18 +321,19 @@ def _digit_block(idx: np.ndarray, n2: int, p: int,
                  stride: int | None = None) -> np.ndarray:
     """Digit t (little-endian, base p) of every counter value, in column t.
 
-    With stride, at p <= 3, idx is one aligned block of sweep_shard (see
-    there) with that step, and the block's planes are returned instead:
-    _value_planes of its digits, built from the counter.
+    With stride, idx is one aligned block of sweep_shard (see there) with
+    that step, and the block's planes are returned instead, as the kernels
+    take them: at p <= 3 _value_planes of its digits, built from the
+    counter, and above one plane of its digits, shape (1, n2, idx.size).
     """
     if stride is not None and p <= 3:
         return _counter_planes(int(idx[0]), idx.size, n2, p, stride)
-    out = np.empty((idx.size, n2), dtype=np.int32)
+    digits = np.empty((n2, idx.size), dtype=np.int64)
     rem = idx.astype(np.int64)
     for t in range(n2):
-        out[:, t] = rem % p
+        digits[t] = rem % p
         rem = rem // p
-    return out
+    return digits.T if stride is None else digits[None]
 
 
 def _bit_planes(digits: np.ndarray) -> np.ndarray:
@@ -386,44 +390,76 @@ def _counter_planes(first: int, size: int, n2: int, p: int,
     return planes
 
 
-def _f2_add(x: tuple, y: tuple) -> tuple:
-    return (x[0] ^ y[0],)
+class _Bits(NamedTuple):
+    """F_p, p <= 3: a value is the tuple of its p - 1 one-hot planes,
+    (bits,) over F_2 and (ones, twos) over F_3; bit i is matrix i."""
+
+    p: int
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        """Over F_3 after Kawahara, Aoki and Takagi."""
+        if self.p == 2:
+            return (x[0] ^ y[0],)
+        t = (x[0] | y[1]) ^ (x[1] | y[0])
+        return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        """Over F_3: 1 where the values agree, 2 where they differ."""
+        if self.p == 2:
+            return (x[0] & y[0],)
+        return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
+
+    def scale(self, x: tuple, c: int) -> tuple:
+        """c x for c in 1 .. p - 1: 2x over F_3 swaps the planes."""
+        return x if c == 1 else x[::-1]
+
+    def const(self, c: int, shape: tuple = ()) -> tuple:
+        """The value c at every matrix, in an array of that shape."""
+        planes = np.zeros((self.p - 1,) + shape, np.uint64)
+        if c:
+            planes[c - 1] = ~np.uint64(0)
+        return tuple(planes)
+
+    def mask(self, bad: np.ndarray) -> np.ndarray:
+        """One entry per bit; sweep_shard drops the padding bits."""
+        return np.unpackbits(bad.view(np.uint8), bitorder="little") == 0
 
 
-def _f2_mul(x: tuple, y: tuple) -> tuple:
-    return (x[0] & y[0],)
+class _Ints(NamedTuple):
+    """F_p, p >= 5: a value is one plane of int64 digits, (digits,), reduced
+    mod p after each operation; entry i is matrix i."""
+
+    p: int
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return ((x[0] + y[0]) % self.p,)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        return (x[0] * y[0] % self.p,)
+
+    def scale(self, x: tuple, c: int) -> tuple:
+        return (x[0] * c % self.p,)
+
+    def const(self, c: int, shape: tuple = ()) -> tuple:
+        return (np.full(shape, c, np.int64),)
+
+    def mask(self, bad: np.ndarray) -> np.ndarray:
+        return bad == 0
 
 
-def _f3_add(x: tuple, y: tuple) -> tuple:
-    """Sum of one-hot trit planes (ones, twos), six boolean operations
-    (Kawahara, Aoki and Takagi; Boothby and Bradshaw, arXiv:0901.1413)."""
-    t = (x[0] | y[1]) ^ (x[1] | y[0])
-    return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
-
-
-def _f3_mul(x: tuple, y: tuple) -> tuple:
-    """Product of one-hot trit planes: 1 where the values agree, 2 where
-    they differ, 0 where either is 0."""
-    return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
-
-
-#: (sum, product) of bitsliced values over F_p, p <= 3.  A value is the
-#: tuple of its p - 1 one-hot planes, (bits,) over F_2 and (ones, twos) over
-#: F_3, so reversing the tuple negates it.
-_BIT_FIELDS = {2: (_f2_add, _f2_mul), 3: (_f3_add, _f3_mul)}
-
-
-def _solution_bits(bad: np.ndarray) -> np.ndarray:
-    """Mask of the matrices whose bit is clear in the plane of failures, one
-    entry per bit; the bits past a block's last matrix are padding, which
-    sweep_shard drops."""
-    return np.unpackbits(bad.view(np.uint8), bitorder="little") == 0
+@lru_cache(maxsize=None)
+def _field(p: int):
+    """How the kernels store and combine values over F_p: the sum, product,
+    scaling by c in 1 .. p - 1 (negation is p - 1), a constant, and the
+    mask of the matrices where a plane of failures is zero.  One record
+    per prime."""
+    return _Bits(p) if p <= 3 else _Ints(p)
 
 
 def _compiled_mask(cs: CompiledSystem, block: np.ndarray) -> np.ndarray:
     if cs.p <= 3:
         return _compiled_mask_bits(cs, block)
-    return _compiled_mask_int(cs, block)
+    return _compiled_mask_int(cs, block[0].T)
 
 
 def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
@@ -442,9 +478,9 @@ def _compiled_mask_bits(cs: CompiledSystem,
     """The system at p = 2 or 3 over the value planes of a block
     (_value_planes), by the plan CompiledSystem.bit_terms."""
     positions, mono_starts, odd, odd_starts, levels = cs.bit_terms
+    field = _field(cs.p)
     if not cs.monos:
-        return np.ones(planes.shape[-1] * 64, dtype=bool)
-    add, _ = _BIT_FIELDS[cs.p]
+        return field.mask(np.zeros_like(planes[0, 0]))
     # a monomial is nonzero where each of its entries is; at p = 3 the sign
     # of its odd-exponent entries splits that plane into ones and twos
     nonzero = np.bitwise_or.reduce(planes, axis=0)
@@ -457,96 +493,58 @@ def _compiled_mask_bits(cs: CompiledSystem,
     # the first level reads a coefficient 2 off the reversed planes
     x = tuple(np.concatenate(v) for v in (x, x[::-1])[:len(x)])
     for left, right, single in levels:
-        pairs = add(tuple(a[left] for a in x), tuple(a[right] for a in x))
-        x = tuple(np.concatenate([s, a[single]]) for s, a in zip(pairs, x))
-    return _solution_bits(np.bitwise_or.reduce(np.concatenate(x), axis=0))
+        # each level's inputs go as soon as they are read, so that no more
+        # than one level's rows are held with their sums
+        singles = tuple(a[single] for a in x)
+        lefts, rights = tuple(a[left] for a in x), tuple(a[right] for a in x)
+        del x
+        pairs = field.add(lefts, rights)
+        del lefts, rights
+        x = tuple(np.concatenate(v) for v in zip(pairs, singles))
+    return field.mask(np.bitwise_or.reduce(np.concatenate(x), axis=0))
 
 
 # ---------------------------------------------------------------------------
 # direct evaluation path (independent of the symbolic system)
 
-def _table_mod_p(table: AlgebraTable, p: int) -> np.ndarray:
-    n = table.dim
-    cm = np.zeros((n, n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                e = table.c[i][j][k]
-                if not e.is_zero:
-                    cm[i, j, k] = reduce_mod_p(e, p)
-    return cm
-
-
 class _DirectForm(NamedTuple):
-    """What the direct kernels read of one sweep, built once by
-    _direct_form: the field size p, the table mod p (n = len(cm)), the
-    weight mod p (0 without one), the nonzero constants as (a, b, k, c, s)
-    for c_ab^k = c with s the position of k in out, and out, the ascending
-    output coordinates that some nonzero constant has."""
+    """What the direct kernel reads of one sweep, built once by
+    _direct_form: the field record (_field), n, the weight mod p (0 without
+    one), the nonzero constants as (a, b, k, c, s) for c_ab^k = c with s
+    the position of k in out, the ascending output coordinates that some
+    nonzero constant has, and C[a, b, s] = c_ab^out[s] as a field value."""
 
-    p: int
-    cm: np.ndarray
+    field: _Bits | _Ints
+    n: int
     w: int
     consts: tuple
     out: list
+    C: tuple
 
 
 def _direct_form(table: AlgebraTable, w: int, p: int) -> _DirectForm:
-    """The direct kernels' form of a bound table and a weight mod p."""
-    cm = _table_mod_p(table, p)
-    abk = np.argwhere(cm).tolist()
-    out = sorted({k for _, _, k in abk})
-    consts = tuple((a, b, k, int(cm[a, b, k]), out.index(k))
-                   for a, b, k in abk)
-    return _DirectForm(p, cm, w, consts, out)
-
-
-def _direct_worst(n: int, p: int) -> int:
-    """Largest value _direct_mask_int can hold before reducing mod p: the
-    n^2 products of three entries in [T e_i, T e_j], or the weighted
-    rota-baxter inner sum."""
-    return max(n * n * (p - 1) ** 3, (p - 1) ** 2 + 2 * (p - 1))
+    """The direct kernel's form of a bound table and a weight mod p."""
+    n, field = table.dim, _field(p)
+    abkc = []
+    for a, b, k in iter_product(range(n), repeat=3):
+        e = table.c[a][b][k]
+        c = 0 if e.is_zero else reduce_mod_p(e, p)
+        if c:
+            abkc.append((a, b, k, c))
+    out = sorted({k for _, _, k, _ in abkc})
+    consts = tuple((a, b, k, c, out.index(k)) for a, b, k, c in abkc)
+    C = field.const(0, (n, n, len(out), 1))
+    for a, b, _, c, s in consts:
+        for plane, v in zip(C, field.const(c)):
+            plane[a, b, s] = v
+    return _DirectForm(field, n, w, consts, out, C)
 
 
 def _direct_mask(form: _DirectForm, kind: OperatorKind,
                  block: np.ndarray) -> np.ndarray:
-    if form.p <= 3:
-        return _direct_mask_bits(form, kind, block)
-    return _direct_mask_int(form, kind, block)
-
-
-def _direct_mask_int(form: _DirectForm, kind: OperatorKind,
-                     digits: np.ndarray) -> np.ndarray:
-    p, cm = form.p, form.cm
-    n = len(cm)
-    T = digits.reshape(-1, n, n).astype(np.int16)
-    btt = np.einsum("mai,mbj,abk->mijk", T, T, cm) % p
-    bte = np.einsum("mai,ajk->mijk", T, cm) % p
-    bet = np.einsum("mbj,ibk->mijk", T, cm) % p
-
-    def tap(tensor):
-        return np.einsum("mqk,mijk->mijq", T, tensor) % p
-
-    axes = (1, 2, 3)
-    if kind.name == "rota-baxter":
-        inner = (bte + bet + form.w * cm[None, :, :, :]) % p
-        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
-    if kind.name == "nijenhuis":
-        tb = np.einsum("mqk,ijk->mijq", T, cm) % p
-        inner = (bte + bet - tb) % p
-        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
-    if kind.name == "reynolds":
-        inner = (bet + bte - btt) % p
-        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
-    left = (((btt - tap(bte)) % p) == 0).all(axis=axes)
-    right = (((btt - tap(bet)) % p) == 0).all(axis=axes)
-    return left & right
-
-
-def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
-                      planes: np.ndarray) -> np.ndarray:
-    """_direct_mask_int at p = 2 or 3 over the value planes of a block, as
-    values of _BIT_FIELDS, summed over the nonzero structure constants only.
+    """The mask of a block's solutions, from the structure constants and
+    the weight mod p alone, as values of form.field over the block's planes
+    (_digit_block with a stride), summed over the nonzero constants only.
 
     P[a, i] is entry (a, i).  Column s of bte, bet and C is coordinate
     k = out[s] of [T e_i, e_j], [e_i, T e_j] and [e_i, e_j], for the k that
@@ -554,13 +552,14 @@ def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
     tap, which applies T to them, sums over the out columns only.  lhs is
     [T e_i, T e_j] at every coordinate q.  Nijenhuis's T [e_i, e_j] term
     has every coordinate, and enters after tap as T^2 applied to C.
+    Values are reduced, so they differ where the XOR of their planes does
+    not vanish.
     """
-    p, n = form.p, len(form.cm)
-    add, mul = _BIT_FIELDS[p]
-    width = planes.shape[-1]
-    out = form.out
+    field, n, out = form.field, form.n, form.out
+    add, mul, scale = field.add, field.mul, field.scale
+    width = block.shape[-1]
     if not out:                     # a zero bracket: both sides vanish
-        return np.ones(width * 64, dtype=bool)
+        return field.mask(np.zeros_like(block[0, 0]))
 
     def part(x, index):
         return tuple(a[index] for a in x)
@@ -569,7 +568,7 @@ def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
         x[key] = add(x[key], y) if key in x else y
 
     def dense(x, shape, index):     # x[key] at index(*key), zero elsewhere
-        arrays = [np.zeros(shape + (width,), np.uint64) for _ in P]
+        arrays = field.const(0, shape + (width,))
         for key, v in x.items():
             for a, u in zip(arrays, v):
                 a[index(*key)] = u
@@ -581,18 +580,14 @@ def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
             acc = add(acc, part(x, np.s_[(slice(None),) * axis + (s,)]))
         return acc
 
-    P = tuple(planes.reshape(p - 1, n, n, width))
+    P = tuple(block.reshape(-1, n, n, width))
     bte, bet, btt = {}, {}, {}
-    C = [np.zeros((n, n, len(out), 1), np.uint64) for _ in P]
     for a, b, k, c, s in form.consts:
-        Ta, Tb = part(P, a), part(P, b)
-        if c == 2:
-            Ta, Tb = Ta[::-1], Tb[::-1]
+        Ta, Tb = scale(part(P, a), c), scale(part(P, b), c)
         put(bte, (b, s), Ta)                                        # i
         put(bet, (a, s), Tb)                                        # j
         put(btt, (k,), mul(part(Ta, np.s_[:, None]),
                            part(P, np.s_[b, None])))                # i,j
-        C[c - 1][a, b, s] = ~np.uint64(0)
     shape = (n, n, len(out))
     bte = dense(bte, shape, lambda b, s: np.s_[:, b, s])
     bet = dense(bet, shape, lambda a, s: np.s_[a, :, s])
@@ -607,21 +602,22 @@ def _direct_mask_bits(form: _DirectForm, kind: OperatorKind,
         diff = [(a ^ v).reshape(-1, width) for a, v in zip(lhs, x)]
         return np.bitwise_or.reduce(np.concatenate(diff), axis=0)
 
+    minus = field.p - 1
     if kind.name == "rota-baxter":
         inner = add(bte, bet)
         if form.w:
-            inner = add(inner, C if form.w == 1 else C[::-1])
+            inner = add(inner, scale(form.C, form.w))
         bad = differs(tap(inner))
     elif kind.name == "nijenhuis":
         T2 = total(mul(part(P, np.s_[:, :, None]), part(T_out, np.s_[None])),
                    1)                                               # q,s
-        bad = differs(add(tap(add(bte, bet)), tap(C, T2)[::-1]))
+        bad = differs(add(tap(add(bte, bet)), scale(tap(form.C, T2), minus)))
     elif kind.name == "reynolds":
         btt = part(lhs, np.s_[:, :, out])
-        bad = differs(tap(add(add(bet, bte), btt[::-1])))
+        bad = differs(tap(add(add(bet, bte), scale(btt, minus))))
     else:
         bad = differs(tap(bte)) | differs(tap(bet))
-    return _solution_bits(bad)
+    return field.mask(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +638,14 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
 
     Every refusal of a sweep is made here, before any matrix is evaluated:
     a field that is not a supported prime, an unbound table, a weight that
-    is unbound or has no value mod p, a sweep past the budget, an integer
-    kernel that could overflow at this p, and an unknown path.  The kernel
-    maps a block (its value planes at p <= 3, its digits above) to the
-    mask of its solutions.  It is a partial of a module-level mask
-    function, so it pickles: a process pool sends this one kernel to every
-    shard job.
+    is unbound or has no value mod p, a sweep past the budget, a kernel
+    whose integers could overflow at this p, and an unknown path.  The
+    compiled kernel keeps its coefficients, and above p = 3 its
+    intermediates, in int32; the direct kernel's largest intermediate is
+    a product of two values below p, (p - 1)^2, in int64 above p = 3.  The
+    kernel maps a block's planes (_digit_block) to the mask of its
+    solutions.  It is a partial of a module-level mask function, so it
+    pickles: a process pool sends this one kernel to every shard job.
     """
     _check_prime(p)
     if not table.is_bound():
@@ -665,13 +663,13 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
             f"sweeping {p}^{n * n} = {total} matrices exceeds the budget "
             f"{budget}; pass a larger budget to allow it")
     if path == "compiled":
+        _refuse_width(p - 1, np.int32, path, p)     # a coefficient
         cs = compile_system(table, kind, p)
         if p > 3:
             _refuse_width(cs.worst_intermediate(), np.int32, path, p)
         return partial(_compiled_mask, cs)
     if path == "direct":
-        if p > 3:
-            _refuse_width(_direct_worst(n, p), np.int16, path, p)
+        _refuse_width((p - 1) ** 2, np.int64, path, p)  # a product
         return partial(_direct_mask, _direct_form(table, w, p), kind)
     raise ValueError(f"unknown evaluation path {path!r}")
 

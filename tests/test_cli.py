@@ -300,24 +300,40 @@ def test_enumerate_refuses_oversize_field(capsys):
     assert "budget" in err
 
 
-def test_enumerate_refuses_huge_prime_before_any_work(capsys):
+def test_enumerate_refuses_huge_prime_before_any_work(capsys, monkeypatch):
+    p = 2 ** 61 - 1
     t0 = time.perf_counter()
     code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
-                       "--field", str(2 ** 61 - 1))
+                       "--field", str(p))
     assert code == 2
     assert "budget" in err
     assert time.perf_counter() - t0 < 1.0
+    # within the budget, p - 1 is past int32, where the compiled kernel
+    # keeps its coefficients
+    monkeypatch.setattr(fp, "compile_system", _no_work(monkeypatch))
+    code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
+                       "--field", str(p), "--budget", str(p ** 16 + 1))
+    assert code == 2
+    assert "refused" in err and "int32" in err
+
+
+def _no_work(monkeypatch):
+    """Fail at once if a sweep, or a pool that would run one, starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("the sweep or its pool started")
+    monkeypatch.setattr(fp, "_digit_block", started)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", started)
+    return started
 
 
 @pytest.mark.parametrize("path,dtype", [("compiled", "int32"),
-                                        ("direct", "int16")])
+                                        ("direct", "int64")])
 def test_enumerate_refuses_prime_past_kernel_width(capsys, monkeypatch,
                                                    path, dtype):
-    def sweep_started(*args):
-        raise AssertionError("the sweep started")
-    monkeypatch.setattr(fp, "_digit_block", sweep_started)
+    _no_work(monkeypatch)
+    p = {"compiled": 1009, "direct": 3037000507}[path]
     code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
-                       "--field", "1009", "--budget", str(1009 ** 16),
+                       "--field", str(p), "--budget", str(p ** 16),
                        "--path", path)
     assert code == 2
     assert "refused" in err and dtype in err
@@ -332,8 +348,8 @@ def test_sharded_enumerate_refuses_before_starting_workers(capsys,
     monkeypatch.setattr(cli, "ProcessPoolExecutor", pool_started)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for extra in (["--field", "3"],
-                  ["--field", "17", "--budget", str(17 ** 16),
-                   "--path", "direct"]):
+                  ["--field", "3037000507", "--budget",
+                   str(3037000507 ** 16), "--path", "direct"]):
         code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
                            *extra)
         assert code == 2

@@ -237,7 +237,7 @@ def test_compiled_system_shape(cmap):
 
 
 # ---------------------------------------------------------------------------
-# bitsliced F_2 and F_3 kernels against the integer kernels
+# sweep kernels against the integer kernels
 
 @st.composite
 def mod_tables(draw, p, dims=(2, 4)):
@@ -279,14 +279,49 @@ def digit_blocks(draw, n, p):
 
 
 def _planes(digits, p):
-    """What the bitsliced kernels take: the value planes of a digit block."""
-    return fp._value_planes(digits, p)
+    """What the kernels take: the planes of a digit block, as
+    _digit_block gives them with a stride."""
+    if p <= 3:
+        return fp._value_planes(digits, p)
+    return np.ascontiguousarray(digits.T, dtype=np.int64)[None]
 
 
 def _form(table, kind, p):
-    """What the direct kernels take: the table and the weight mod p."""
+    """What the direct kernel takes: the table and the weight mod p."""
     w = 0 if kind.weight is None else reduce_mod_p(kind.weight, p)
     return fp._direct_form(table, w, p)
+
+
+def _direct_mask_int(form, kind, digits, dtype=np.int64):
+    """The direct kernel's reference: each identity as dense einsum
+    contractions of the table mod p over a digit block, in dtype (object
+    for exact ints), reduced mod p after each."""
+    p, n = form.field.p, form.n
+    cm = np.zeros((n, n, n), dtype)
+    for a, b, k, c, _ in form.consts:
+        cm[a, b, k] = c
+    T = np.asarray(digits).reshape(-1, n, n).astype(dtype)
+    btt = np.einsum("mai,mbj,abk->mijk", T, T, cm) % p
+    bte = np.einsum("mai,ajk->mijk", T, cm) % p
+    bet = np.einsum("mbj,ibk->mijk", T, cm) % p
+
+    def tap(tensor):
+        return np.einsum("mqk,mijk->mijq", T, tensor) % p
+
+    axes = (1, 2, 3)
+    if kind.name == "rota-baxter":
+        inner = (bte + bet + form.w * cm[None, :, :, :]) % p
+        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
+    if kind.name == "nijenhuis":
+        tb = np.einsum("mqk,ijk->mijq", T, cm) % p
+        inner = (bte + bet - tb) % p
+        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
+    if kind.name == "reynolds":
+        inner = (bet + bte - btt) % p
+        return (((btt - tap(inner)) % p) == 0).all(axis=axes)
+    left = (((btt - tap(bte)) % p) == 0).all(axis=axes)
+    right = (((btt - tap(bet)) % p) == 0).all(axis=axes)
+    return left & right
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,16 +334,6 @@ def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
             == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
 
 
-@settings(max_examples=100, deadline=None)
-@given(mod_tables(2), kinds(), st.data())
-def test_bitsliced_direct_kernel_matches_int_kernel(table, kind, data):
-    form = _form(table, kind, 2)
-    digits = data.draw(digit_blocks(table.dim, 2))
-    got = fp._direct_mask_bits(form, kind, _planes(digits, 2))
-    assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(form, kind, digits).tolist())
-
-
 @settings(max_examples=30, deadline=None)
 @given(mod_tables(3), kinds(), st.data())
 def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
@@ -318,14 +343,17 @@ def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
     assert got.tolist() == fp._compiled_mask_int(cs, digits).tolist()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 @settings(max_examples=100, deadline=None)
-@given(mod_tables(3), kinds(), st.data())
-def test_f3_direct_kernel_matches_int_kernel(table, kind, data):
-    form = _form(table, kind, 3)
-    digits = data.draw(digit_blocks(table.dim, 3))
-    got = fp._direct_mask_bits(form, kind, _planes(digits, 3))
+@given(st.data())
+def test_direct_kernel_matches_int_kernel(p, data):
+    table = data.draw(mod_tables(p))
+    kind = data.draw(kinds())
+    form = _form(table, kind, p)
+    digits = data.draw(digit_blocks(table.dim, p))
+    got = fp._direct_mask(form, kind, _planes(digits, p))
     assert (got[:len(digits)].tolist()
-            == fp._direct_mask_int(form, kind, digits).tolist())
+            == _direct_mask_int(form, kind, digits).tolist())
 
 
 @pytest.mark.parametrize("path", ["compiled", "direct"])
@@ -338,8 +366,8 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
     kind = make_kind("rota-baxter", RatExpr.const(1))
     idx = np.arange(3 ** 4, dtype=np.int64)
     digits = fp._digit_block(idx, 4, 3)
-    want = idx[fp._direct_mask_int(_form(table, kind, 3), kind,
-                                   digits)].tolist()
+    want = idx[_direct_mask_int(_form(table, kind, 3), kind,
+                                digits)].tolist()
     assert 0 < len(want) < idx.size
     assert solution_indices(table, kind, 3, path=path).tolist() == want
     evaluate = pickle.loads(pickle.dumps(sweep_kernel(table, kind, 3,
@@ -396,10 +424,10 @@ def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((2, 3)), st.data())
+@given(st.sampled_from((2, 3, 5)), st.data())
 def test_small_sweeps_match_the_int_kernels(p, data):
     # whole sweeps and every shard of dimension 1 and 2 tables through the
-    # bitsliced kernels, each walked as one block of 1, p, p^2 or p^4
+    # sweep kernels, each walked as one block of 1, p, p^2 or p^4
     # matrices
     table = data.draw(mod_tables(p, dims=(1, 2)))
     kind = data.draw(kinds())
@@ -408,8 +436,8 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     digits = fp._digit_block(idx, n * n, p).astype(np.int32)
     cs = compile_system(table, kind, p)
     want = idx[fp._compiled_mask_int(cs, digits)].tolist()
-    assert want == idx[fp._direct_mask_int(_form(table, kind, p), kind,
-                                           digits)].tolist()
+    assert want == idx[_direct_mask_int(_form(table, kind, p), kind,
+                                        digits)].tolist()
     for path in ("compiled", "direct"):
         got = solution_indices(table, kind, p, path=path)
         assert got.tolist() == want
@@ -450,7 +478,7 @@ def _int_kernel_sweep(table, kind):
         idx = np.arange(start, start + (1 << 14), dtype=np.int64)
         digits = ((idx[:, None] >> np.arange(n * n)) & 1).astype(np.int32)
         compiled.append(idx[fp._compiled_mask_int(cs, digits)])
-        direct.append(idx[fp._direct_mask_int(form, kind, digits)])
+        direct.append(idx[_direct_mask_int(form, kind, digits)])
     return np.concatenate(compiled).tolist(), np.concatenate(direct).tolist()
 
 
@@ -468,7 +496,7 @@ def test_odd_weight_rota_baxter_full_sweep(cmap, name):
 
 
 # ---------------------------------------------------------------------------
-# integer widths of the p > 2 kernels and field checks
+# integer widths of the kernels and field checks
 
 @pytest.fixture
 def no_sweep(monkeypatch):
@@ -486,8 +514,10 @@ def test_width_guard_refuses_overflowing_primes(cmap, no_sweep):
     with pytest.raises(RefusedSize, match="int32"):
         solution_indices(cmap["L1"], kind, p, budget=budget,
                          path="compiled")
-    with pytest.raises(RefusedSize, match="int16"):
-        solution_indices(cmap["L1"], kind, p, budget=budget, path="direct")
+    q = 3037000507            # the least prime with (q - 1)^2 past int64
+    with pytest.raises(RefusedSize, match="int64"):
+        solution_indices(cmap["L1"], kind, q, budget=q ** 16 + 1,
+                         path="direct")
 
 
 def test_compiled_width_guard_is_tight_and_sufficient(cmap, no_sweep):
@@ -506,21 +536,31 @@ def test_compiled_width_guard_is_tight_and_sufficient(cmap, no_sweep):
             == fp._compiled_mask_int(wide, digits).tolist())
 
 
-def test_direct_width_guard_is_tight_and_sufficient(cmap, no_sweep):
+def test_direct_width_guard_is_tight_and_sufficient(no_sweep):
+    # 3037000493 is the largest prime whose (p - 1)^2 fits int64
+    p, q = 3037000493, 3037000507
+    assert (p - 1) ** 2 <= np.iinfo(np.int64).max < (q - 1) ** 2
+    table = AlgebraTable("top", 2, [[[RatExpr.const(p - 1)
+                                      for _ in range(2)] for _ in range(2)]
+                                    for _ in range(2)])
     kind = make_kind("nijenhuis")
-    with pytest.raises(RefusedSize, match="int16"):
-        solution_indices(cmap["L1"], kind, 17, budget=17 ** 16,
-                         path="direct")
-    assert fp._direct_worst(4, 13) <= np.iinfo(np.int16).max
+    with pytest.raises(AssertionError, match="the sweep started"):
+        solution_indices(table, kind, p, budget=p ** 4, path="direct")
+    with pytest.raises(RefusedSize, match="int64"):
+        solution_indices(table, kind, q, budget=q ** 4, path="direct")
+    # every constant, the weight and many entries at p - 1, against exact
+    # ints; the rows open with 0, I and -I, so that some are solutions
     rng = np.random.default_rng(0)
-    digits = rng.integers(0, 13, size=(200, 16))
-    digits[0] = 12
+    digits = rng.choice([0, 0, 0, 1, p - 1], size=(300, 4))
+    digits[:3] = [[0, 0, 0, 0], [1, 0, 0, 1], [p - 1, 0, 0, p - 1]]
     for name in KIND_NAMES:
-        k = make_kind(name, 12) if name == "rota-baxter" else make_kind(name)
-        form = _form(cmap["L2"], k, 13)
-        wide = form._replace(cm=form.cm.astype(np.int64))
-        assert (fp._direct_mask_int(form, k, digits).tolist()
-                == fp._direct_mask_int(wide, k, digits).tolist())
+        k = make_kind(name, p - 1) if name == "rota-baxter" \
+            else make_kind(name)
+        form = _form(table, k, p)
+        want = _direct_mask_int(form, k, digits.astype(object), object)
+        got = fp._direct_mask(form, k, _planes(digits, p))
+        assert got.tolist() == want.tolist()
+        assert 0 < want.sum() < len(digits)
 
 
 def test_primality_check_is_fast_and_exact():
