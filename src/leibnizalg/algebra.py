@@ -23,7 +23,15 @@ with a basis vector, [e_a, v] or [u, e_b], runs over the table's nonzero
 entries with that first or second index (AlgebraTable.e_bracket and
 bracket_e).  Each coordinate is summed in ascending contracted index, the
 order of the dense bracket, so the unreduced text of every residual
-coordinate, and with it every witness, is the dense bracket's.
+coordinate, and with it every witness, is the dense bracket's.  The
+operator matrix is contracted over its nonzero entries too
+(operators.operator_residual lists them per row once per call).
+
+The residuals' own sums, such as the three brackets of R above, add only
+their nonzero terms (signed_sum), and so do the contractions.  This rests
+on the zero-operand rule of exact.RatExpr (x + 0 and x - 0 are x, 0 - x
+is -x), by which the sparse sum returns the very objects of the dense
+one, in the same order and with the same signs.
 """
 
 from __future__ import annotations
@@ -140,9 +148,10 @@ class AlgebraTable:
         for i, j, k, val in self._nonzero:
             ui = u[i]
             vj = v[j]
-            if ui.is_zero or vj.is_zero:
-                continue
-            out[k] = out[k] + ui * vj * val
+            if ui.num.terms and vj.num.terms:
+                s = out[k]
+                x = ui * vj * val
+                out[k] = x if s is RE_ZERO else s + x
         return out
 
     def e_bracket(self, a: int, v):
@@ -163,9 +172,33 @@ def _contract(nonzero, vec, n: int):
     out = [RE_ZERO] * n
     for t, q, val in nonzero:
         x = vec[t]
-        if not x.is_zero:
-            out[q] = out[q] + x * val
+        if x.num.terms:
+            s = out[q]
+            x = x * val
+            out[q] = x if s is RE_ZERO else s + x
     return out
+
+
+def signed_sum(terms, n: int) -> list:
+    """The vector t1 +- t2 +- ... of terms ((plus, t1), (plus, t2), ...),
+    plus False for a difference.
+
+    Each coordinate adds only its nonzero terms, left to right with their
+    signs.  A sum or difference with a zero operand is the other operand
+    unchanged, and 0 - x is -x (the zero-operand rule of exact.RatExpr),
+    so every coordinate is the object the dense expression t1 +- t2 +- ...
+    would give, down to its unreduced text.
+    """
+    out = [None] * n
+    for plus, vec in terms:
+        for q, x in enumerate(vec):
+            if x.num.terms:
+                s = out[q]
+                if s is None:
+                    out[q] = x if plus else -x
+                else:
+                    out[q] = s + x if plus else s - x
+    return [RE_ZERO if s is None else s for s in out]
 
 
 def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
@@ -239,7 +272,7 @@ class ResidualTensor:
         for index in indices:
             vec = coords(*index)
             res._vectors.append((index, vec))
-            if not all(v.is_zero for v in vec):
+            if any([v.num.terms for v in vec]):
                 break
         res._pending = ((index, coords(*index)) for index in indices)
         return res
@@ -262,15 +295,21 @@ class ResidualTensor:
     def entries(self) -> dict:
         return dict(self._items())
 
+    def _tails(self):
+        """The label tail of each coordinate of a vector: (q,), or
+        (q, condition) when the tensor has conditions."""
+        q_range = range(1, self.dim + 1)
+        if self.conditions:
+            return [(q, c) for c in self.conditions for q in q_range]
+        return [(q,) for q in q_range]
+
     def walk(self):
         """Every coordinate as (label, value), in lexicographic order.
 
         The label is the 1-based (i, j[, k], q), followed by the condition
         name when the tensor has conditions.
         """
-        q_range = range(1, self.dim + 1)
-        tails = [(q, c) for c in self.conditions for q in q_range] \
-            if self.conditions else [(q,) for q in q_range]
+        tails = self._tails()
         for index, vec in self._items():
             where = tuple(a + 1 for a in index)
             for tail, value in zip(tails, vec):
@@ -278,15 +317,18 @@ class ResidualTensor:
 
     def first_failure(self, condition=None):
         """The first nonzero coordinate as label + (value,), or None; with
-        condition given, only that condition's coordinates are read."""
-        for label, value in self.walk():
-            if not value.is_zero and condition in (None, label[-1]):
-                return label + (value,)
+        condition given, only that condition's coordinates are read.  Only
+        the hit's label is built."""
+        tails = self._tails()
+        for index, vec in self._items():
+            for tail, value in zip(tails, vec):
+                if value.num.terms and condition in (None, tail[-1]):
+                    return tuple(a + 1 for a in index) + tail + (value,)
         return None
 
     @property
     def is_zero(self) -> bool:
-        return all(v.is_zero for _, vec in self._items() for v in vec)
+        return not any(v.num.terms for _, vec in self._items() for v in vec)
 
     def holds(self, condition) -> bool:
         """Whether every coordinate of the named condition vanishes."""
@@ -306,10 +348,9 @@ def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
     n, c = table.dim, table.c
 
     def coords(i, j, k):
-        t1 = table.e_bracket(i, c[j][k])
-        t2 = table.bracket_e(c[i][j], k)
-        t3 = table.bracket_e(c[i][k], j)
-        return [t1[q] - t2[q] + t3[q] for q in range(n)]
+        return signed_sum(((True, table.e_bracket(i, c[j][k])),
+                           (False, table.bracket_e(c[i][j], k)),
+                           (True, table.bracket_e(c[i][k], j))), n)
 
     return ResidualTensor.tabulate(n, 3, coords)
 

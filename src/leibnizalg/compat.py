@@ -42,6 +42,7 @@ from .algebra import (
     data_dir,
     leibniz_residual,
     sample_bindings,
+    signed_sum,
     witness_dict,
 )
 from .exact import RatExpr
@@ -58,14 +59,12 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
     n, ca, cb = a.dim, a.c, b.c
 
     def coords(i, j, k):
-        t1 = b.e_bracket(i, ca[j][k])
-        t2 = a.e_bracket(i, cb[j][k])
-        t3 = b.bracket_e(ca[i][j], k)
-        t4 = a.bracket_e(cb[i][j], k)
-        t5 = b.bracket_e(ca[i][k], j)
-        t6 = a.bracket_e(cb[i][k], j)
-        return [t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
-                for q in range(n)]
+        return signed_sum(((True, b.e_bracket(i, ca[j][k])),
+                           (True, a.e_bracket(i, cb[j][k])),
+                           (False, b.bracket_e(ca[i][j], k)),
+                           (False, a.bracket_e(cb[i][j], k)),
+                           (True, b.bracket_e(ca[i][k], j)),
+                           (True, a.bracket_e(cb[i][k], j))), n)
 
     return ResidualTensor.tabulate(n, 3, coords)
 

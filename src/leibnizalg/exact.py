@@ -17,7 +17,14 @@ _POLY_ONE or a non-constant polynomial (constant denominators are folded
 into the numerator on construction, and a zero numerator gets _POLY_ONE).
 The arithmetic relies on it: a denominator that ``is _POLY_ONE`` skips
 normalisation, a product of two such keeps it, and a sum or difference
-with a zero operand returns the other operand unchanged.
+with a zero operand returns the other operand unchanged (0 - x is -x).
+The residual sums downstream (algebra, compat, operators) rely on that
+last rule in turn: they add only their nonzero terms, left to right with
+their signs, and get the very objects a dense sum would.
+
+A sum, difference, product or negation of real Scalars skips the
+imaginary part: the result equals the general formula's, with the shared
+Fraction zero as its imaginary part.
 
 Expression grammar accepted by parse_expr (EBNF, also in the README):
 
@@ -92,17 +99,27 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            out = Scalar.__new__(Scalar)
+            out.re = self.re + o.re
+            out.im = _ZERO
+            return out
         return Scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            out = Scalar.__new__(Scalar)
+            out.re = self.re - o.re
+            out.im = _ZERO
+            return out
         return Scalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -112,7 +129,7 @@ class Scalar:
         return Scalar(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
         if not self.im and not o.im:
@@ -142,6 +159,11 @@ class Scalar:
         return o / self
 
     def __neg__(self):
+        if not self.im:
+            out = Scalar.__new__(Scalar)
+            out.re = -self.re
+            out.im = _ZERO
+            return out
         return Scalar(-self.re, -self.im)
 
     def __pow__(self, k: int):
@@ -400,7 +422,7 @@ class RatExpr:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     def params(self) -> set:
         return self.num.params() | self.den.params()

@@ -46,12 +46,15 @@ T n^3 per output coordinate, in place of the n^4 products of a dense
 contraction.  Its largest intermediate, a product of two values below p,
 must fit int64.
 
-A sweep walks aligned blocks of p^k <= 2^14 matrices in this process.
-Within one, the counter's k digits above a shard's row run through a pattern
-that is the same in every block, and every other digit is fixed.  So at
-p <= 3 the planes of a block are read off the counter: the pattern's planes
-are built once per (p, k), and a fixed digit's plane is all ones or zeros.
-No matrix is decoded digit by digit and no plane is packed per block.
+A sweep walks aligned blocks of p^k matrices in this process: p^k <= 2^14
+at p <= 3, where a digit is one bit, and p^k <= 2^14 / n^2 above, where it
+is an int64 (625 matrices at p = 5 in dimension 4, whose direct kernel
+then peaks at a few MB).  Within one, the counter's k digits above a
+shard's row run through a pattern that is the same in every block, and
+every other digit is fixed.  So at p <= 3 the planes of a block are read
+off the counter: the pattern's planes are built once per (p, k), and a
+fixed digit's plane is all ones or zeros.  No matrix is decoded digit by
+digit and no plane is packed per block.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -99,7 +102,8 @@ from .operators import OperatorFamily, OperatorKind, build_system, \
 #: the caller raises the budget explicitly (2^16 admits the full p=2 sweep
 #: for 4x4 matrices; p=3 needs 3^16 ~ 43M and must be asked for)
 DEFAULT_BUDGET = 1 << 16
-#: a sweep block is the largest power of p not above this many matrices
+#: a sweep block holds at most this many matrices, and its n*n digit
+#: planes fill at most this many 64-bit words (sweep_shard)
 _BLOCK = 1 << 14
 
 COVERAGE_NOTE = ("finite-field coverage is evidence, not proof: charts are "
@@ -395,6 +399,7 @@ class _Bits(NamedTuple):
     (bits,) over F_2 and (ones, twos) over F_3; bit i is matrix i."""
 
     p: int
+    bits = 1                        # a digit's bits in a plane
 
     def add(self, x: tuple, y: tuple) -> tuple:
         """Over F_3 after Kawahara, Aoki and Takagi."""
@@ -430,6 +435,7 @@ class _Ints(NamedTuple):
     mod p after each operation; entry i is matrix i."""
 
     p: int
+    bits = 64                       # a digit's bits in a plane
 
     def add(self, x: tuple, y: tuple) -> tuple:
         return ((x[0] + y[0]) % self.p,)
@@ -450,9 +456,10 @@ class _Ints(NamedTuple):
 @lru_cache(maxsize=None)
 def _field(p: int):
     """How the kernels store and combine values over F_p: the sum, product,
-    scaling by c in 1 .. p - 1 (negation is p - 1), a constant, and the
-    mask of the matrices where a plane of failures is zero.  One record
-    per prime."""
+    scaling by c in 1 .. p - 1 (negation is p - 1), a constant, the mask
+    of the matrices where a plane of failures is zero, and the bits a
+    digit takes in a plane, which bound a sweep's blocks.  One record per
+    prime."""
     return _Bits(p) if p <= 3 else _Ints(p)
 
 
@@ -697,8 +704,14 @@ def sweep_shard(evaluate, n: int, p: int,
     all of them and merge the parts.
 
     The matrices are walked in aligned blocks of p^k, the largest power of
-    p not above _BLOCK and not above the p^(n*n - n) matrices of a shard (or
-    the p^(n*n) of the whole sweep).  Within a block the counter's k digits
+    p not above _BLOCK, not above the p^(n*n - n) matrices of a shard (or
+    the p^(n*n) of the whole sweep), and whose n*n digit planes fill at
+    most _BLOCK 64-bit words.  A digit takes _field(p).bits in a plane: one
+    bit at p <= 3, so there the first bound decides up to dimension 8, and
+    an int64 above, so a block holds at most 2^14 / n^2 matrices.  The
+    direct kernel's intermediates hold several hundred int64 per matrix in
+    dimension 4; a 5^6 block of L1 nijenhuis peaked at 86 MB, a 5^4 one
+    at 3.4 MB.  Within a block the counter's k digits
     above the shard's row run through all their values and every other
     digit is fixed, so at p <= 3 _digit_block reads the block's planes off
     the counter, and the kernel takes those.
@@ -711,7 +724,8 @@ def sweep_shard(evaluate, n: int, p: int,
             raise ValueError(f"shard must lie in [0, {stride})")
     span = total // stride
     size = 1
-    while size * p <= min(_BLOCK, span):
+    words = _BLOCK * 64 // (n * n * _field(p).bits)
+    while size * p <= min(_BLOCK, span, words):
         size *= p
     hits = []
     for start in range(0, span, size):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import AlgebraTable, CatalogError, ResidualTensor, \
-    algebra_sort_key, data_dir
+    algebra_sort_key, data_dir, signed_sum
 from .exact import (
     DenominatorVanishes,
     ExprSyntaxError,
@@ -88,14 +88,20 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
     if len(T) != n or any(len(row) != n for row in T):
         raise ValueError(f"operator matrix must be {n}x{n}")
     cols = [[T[r][c] for r in range(n)] for c in range(n)]
+    # T's nonzero entries per row, as (k, T[q][k]) in ascending k
+    rows = [[(k, t) for k, t in enumerate(T[q]) if t.num.terms]
+            for q in range(n)]
+    weight = kind.weight
 
     def apply_t(vec):
         out = []
-        for q in range(n):
+        for row in rows:
             s = RE_ZERO
-            for k in range(n):
-                if not vec[k].is_zero and not T[q][k].is_zero:
-                    s = s + T[q][k] * vec[k]
+            for k, t in row:
+                x = vec[k]
+                if x.num.terms:
+                    x = t * x
+                    s = x if s is RE_ZERO else s + x
             out.append(s)
         return out
 
@@ -105,20 +111,20 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
         bte = table.bracket_e(ti, j)
         bet = table.e_bracket(i, tj)
         if kind.name == "rota-baxter":
-            bee = table.c[i][j]
-            inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
+            terms = [(True, bte), (True, bet)]
+            if weight.num.terms:
+                terms.append((True, [weight * x if x.num.terms else x
+                                     for x in table.c[i][j]]))
         elif kind.name == "nijenhuis":
-            tb = apply_t(table.c[i][j])
-            inner = [bte[q] + bet[q] - tb[q] for q in range(n)]
+            terms = ((True, bte), (True, bet),
+                     (False, apply_t(table.c[i][j])))
         elif kind.name == "reynolds":
-            inner = [bet[q] + bte[q] - btt[q] for q in range(n)]
+            terms = ((True, bet), (True, bte), (False, btt))
         else:  # averaging: left and right one-sided conditions
-            left = apply_t(bte)
-            right = apply_t(bet)
-            return ([btt[q] - left[q] for q in range(n)]
-                    + [btt[q] - right[q] for q in range(n)])
-        out = apply_t(inner)
-        return [btt[q] - out[q] for q in range(n)]
+            return (signed_sum(((True, btt), (False, apply_t(bte))), n)
+                    + signed_sum(((True, btt), (False, apply_t(bet))), n))
+        out = apply_t(signed_sum(terms, n))
+        return signed_sum(((True, btt), (False, out)), n)
 
     conditions = ("left", "right") if kind.name == "averaging" else ("",)
     return ResidualTensor.tabulate(n, 2, coords, conditions)
@@ -253,7 +259,19 @@ def verify_family(table: AlgebraTable, fam: OperatorFamily,
                    left=res.holds("left"), right=res.holds("right"))
 
 
-def _parse_matrix(rows, pointer: str):
+def _parse_shared(text: str, parsed: dict, pointer: str) -> RatExpr:
+    """parse_expr(text), parsed once per distinct text in parsed; a text
+    that does not parse raises CatalogError at pointer."""
+    e = parsed.get(text)
+    if e is None:
+        try:
+            e = parsed[text] = parse_expr(text)
+        except ExprSyntaxError as err:
+            raise CatalogError(pointer, str(err)) from err
+    return e
+
+
+def _parse_matrix(rows, pointer: str, parsed: dict):
     """A square chart of parsed expressions, of any size."""
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or len(r) != len(rows)
@@ -265,10 +283,7 @@ def _parse_matrix(rows, pointer: str):
         for c, text in enumerate(row):
             if not isinstance(text, str):
                 raise CatalogError(f"{pointer}/{r}/{c}", "entry must be a string")
-            try:
-                line.append(parse_expr(text))
-            except ExprSyntaxError as err:
-                raise CatalogError(f"{pointer}/{r}/{c}", str(err)) from err
+            line.append(_parse_shared(text, parsed, f"{pointer}/{r}/{c}"))
         out.append(line)
     return out
 
@@ -278,6 +293,10 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
 
     Either name a kind (reads its packaged file) or give an explicit path
     (which may mix kinds; each object still declares its own).
+
+    Each distinct expression text is parsed once per call, and its entries
+    and constraints share that one RatExpr, which no code mutates; nothing
+    is kept between calls, so two loads share no expression.
     """
     if path is None:
         if kind_name is None:
@@ -288,6 +307,7 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
     if not isinstance(raw, list):
         raise CatalogError("", "family file must be an array")
     fams = []
+    parsed = {}
     for t, obj in enumerate(raw):
         pointer = f"/{t}"
         if not isinstance(obj, dict):
@@ -307,7 +327,7 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
             fams.append(OperatorFamily(algebra, kind, index, None, (), (),
                                        True, weight, obj.get("rows"), note))
             continue
-        chart = _parse_matrix(obj.get("chart"), f"{pointer}/chart")
+        chart = _parse_matrix(obj.get("chart"), f"{pointer}/chart", parsed)
         free = obj.get("free", [])
         if not isinstance(free, list) or not all(isinstance(x, str) for x in free):
             raise CatalogError(f"{pointer}/free", "free must be a list of names")
@@ -319,12 +339,9 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
         if stray:
             raise CatalogError(f"{pointer}/chart",
                                f"parameters {sorted(stray)} not listed as free")
-        constraints = []
-        for s, text in enumerate(obj.get("constraints", [])):
-            try:
-                constraints.append(parse_expr(text))
-            except ExprSyntaxError as err:
-                raise CatalogError(f"{pointer}/constraints/{s}", str(err)) from err
+        constraints = [
+            _parse_shared(text, parsed, f"{pointer}/constraints/{s}")
+            for s, text in enumerate(obj.get("constraints", []))]
         # every chart denominator must be covered by a constraint
         for r, row in enumerate(chart):
             for c, e in enumerate(row):

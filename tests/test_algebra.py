@@ -22,6 +22,7 @@ from leibnizalg.algebra import (
     lower_central_series,
     printed_variant,
     sample_bindings,
+    signed_sum,
 )
 from leibnizalg.compat import mixed_residual
 from leibnizalg.exact import RatExpr, Scalar, parse_expr
@@ -122,6 +123,23 @@ class TestSparseContraction:
         dense = dense_leibniz_residual(table)
         assert walk_text(res) == walk_text(dense)
         assert res.is_zero == (dense.first_failure() is None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(st.booleans(), st.lists(
+            st.sampled_from(ENTRY_TEXTS + ("0",) * 8),
+            min_size=n, max_size=n).map(
+                lambda texts: [parse_expr(t) for t in texts])),
+        min_size=1, max_size=6)))
+    def test_signed_sum_is_the_dense_sum(self, terms):
+        # the dense t1 +- t2 +- ..., left to right, zero terms included
+        n = len(terms[0][1])
+        dense = [RatExpr.const(0) + terms[0][1][q] if terms[0][0]
+                 else RatExpr.const(0) - terms[0][1][q] for q in range(n)]
+        for plus, vec in terms[1:]:
+            dense = [d + x if plus else d - x for d, x in zip(dense, vec)]
+        got = signed_sum(terms, n)
+        assert [str(x) for x in got] == [str(x) for x in dense]
 
     def test_unit_brackets_sum_in_ascending_index(self):
         # [e1, v] = [v, e1] = (v1 + v2 + v3) e1 with v over denominators

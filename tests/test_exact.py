@@ -14,6 +14,7 @@ from leibnizalg.exact import (
     NonRealValue,
     Poly,
     RatExpr,
+    RE_ZERO,
     Scalar,
     _POLY_ONE,
     parse_expr,
@@ -316,6 +317,17 @@ def test_zero_operand_returns_the_other_unchanged():
     assert str(q * RatExpr.const(1)) == str(q)
 
 
+@settings(max_examples=80, deadline=None)
+@given(operands)
+def test_a_zero_operand_returns_the_other_operand(x):
+    # the residual sums (algebra.signed_sum) skip zero terms on this rule;
+    # with both operands zero either one is the other
+    for got in (RE_ZERO + x, x + RE_ZERO, x - RE_ZERO):
+        assert got is x or got.is_zero and x.is_zero
+    assert str(RE_ZERO - x) == str(-x)
+    assert (RE_ZERO - x).den is (-x).den
+
+
 def test_copies_keep_the_shared_denominator():
     for text in ("x + 1", "0", "3/2*i", "(1+m)/(1-m)"):
         e = parse_expr(text)
@@ -339,6 +351,29 @@ def test_scalar_product_matches_four_products(a, b):
         assert type(got.re) is Fraction and type(got.im) is Fraction
         assert repr(got) == repr(want)
         assert str(got) == str(want)
+
+
+def _same_scalar(got, want):
+    assert got == want
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert repr(got) == repr(want)
+    assert str(got) == str(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian, gaussian)
+def test_scalar_sum_difference_and_negation_match_the_general_formula(a, b):
+    # the real-only fast paths against the formulas over both parts
+    for got in (a + b, b + a):
+        _same_scalar(got, Scalar(a.re + b.re, a.im + b.im))
+    _same_scalar(a - b, Scalar(a.re - b.re, a.im - b.im))
+    _same_scalar(-a, Scalar(-a.re, -a.im))
+    for k in (0, 3, Fraction(-2, 5)):
+        _same_scalar(a + k, Scalar(a.re + k, a.im))
+        _same_scalar(k + a, Scalar(a.re + k, a.im))
+        _same_scalar(a - k, Scalar(a.re - k, a.im))
+        _same_scalar(k - a, Scalar(k - a.re, -a.im))
+        _same_scalar(a * k, Scalar(a.re * k, a.im * k))
 
 
 def test_reduce_mod_p_examples():

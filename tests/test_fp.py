@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -444,6 +445,34 @@ def test_small_sweeps_match_the_int_kernels(p, data):
         parts = [solution_indices(table, kind, p, path=path, shard=s)
                  for s in range(p ** n)]
         assert np.sort(np.concatenate(parts)).tolist() == want
+
+
+def test_a_block_above_p3_holds_an_int64_per_digit(cmap):
+    # one block of the direct kernel at p = 5, as a shard of L1 nijenhuis
+    # walks it: 5^4 matrices, the largest power of 5 whose 16 int64 digits
+    # per matrix fill at most 2^14 words, and the kernel's peak stays at or
+    # under 20 MB (86 MB for the 5^6 blocks of the 2^14 bound alone)
+    evaluate = sweep_kernel(cmap["L1"], make_kind("nijenhuis"), 5,
+                            budget=5 ** 16, path="direct")
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def first_block(block):
+        tracemalloc.start()
+        try:
+            evaluate(block)
+            seen.append((block.shape[-1], tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        raise Stop
+    with pytest.raises(Stop):
+        sweep_shard(first_block, 4, 5, 0)
+    (width, peak), = seen
+    assert width == 5 ** 4 == max(5 ** k for k in range(9)
+                                  if 5 ** k * 16 <= fp._BLOCK)
+    assert peak <= 20e6
 
 
 def _scalars(p):

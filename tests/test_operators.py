@@ -381,26 +381,43 @@ def test_operator_residual_matches_dense_oracle(table, kind, data):
 
 
 def test_catalog_operator_residuals_match_dense_oracle(cmap, families):
-    # every chart on a table with a parameter, L20's (1 + mu)/(1 - mu)
-    # among them, and each such table's unknown matrix
-    checked = 0
+    # every chart of every kind, the 17 with a non-constant denominator and
+    # L20's (1 + mu)/(1 - mu) among them, rota-baxter charts at three
+    # weights, and the unknown matrices of L4 and L20
+    checked = set()
     for fam in families:
-        table = cmap[fam.algebra]
-        if fam.malformed or table.is_bound():
+        if fam.malformed:
             continue
+        table = cmap[fam.algebra]
         for kind in KINDS_WITH_WEIGHTS:
             if kind.name == fam.kind:
                 res = operator_residual(table, kind, fam.chart)
                 assert walk_text(res) == walk_text(
                     dense_operator_residual(table, kind, fam.chart)), \
                     fam.label()
-                checked += 1
-    assert checked > 50
+                checked.add(fam.label())
+    assert len(checked) == 348
     for name in ("L4", "L20"):
         for kind in KINDS_WITH_WEIGHTS:
             T = unknown_matrix(4, kind.name)
             assert walk_text(operator_residual(cmap[name], kind, T)) \
                 == walk_text(dense_operator_residual(cmap[name], kind, T))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims.flatmap(sparse_tables), st.sampled_from(KINDS_WITH_WEIGHTS),
+       st.data())
+def test_operator_residual_with_zero_rows_and_columns(table, kind, data):
+    # apply_t walks T's nonzero entries per row: whole rows and columns
+    # of zeros, and at times the zero matrix, against the dense oracle
+    n = table.dim
+    zero_rows = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    zero_cols = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    T = [[RE_ZERO if r in zero_rows or c in zero_cols
+          else parse_expr(data.draw(st.sampled_from(OPERATOR_ENTRIES[8:])))
+          for c in range(n)] for r in range(n)]
+    assert walk_text(operator_residual(table, kind, T)) \
+        == walk_text(dense_operator_residual(table, kind, T))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +584,69 @@ def test_load_families_rejects_unparsable_entry(tmp_path):
     p.write_text(json.dumps(_family_json(chart=bad, free=["k11"])))
     with pytest.raises(CatalogError):
         load_families("nijenhuis", p)
+
+
+def _texts(fam_obj):
+    """Every expression text of a family object with its JSON pointer."""
+    for r, row in enumerate(fam_obj.get("chart", [])):
+        for c, text in enumerate(row):
+            yield f"chart/{r}/{c}", text
+    for s, text in enumerate(fam_obj.get("constraints", [])):
+        yield f"constraints/{s}", text
+
+
+def _exprs(fams):
+    for f in fams:
+        if not f.malformed:
+            yield from (e for row in f.chart for e in row)
+            yield from f.constraints
+
+
+@pytest.mark.parametrize("kind_name", KIND_NAMES)
+def test_loaded_expressions_print_as_their_own_parse(kind_name):
+    # each distinct text is parsed once per load and shared; every entry
+    # and constraint still prints as a parse of that entry on its own
+    fams = load_families(kind_name)
+    fname = kind_name.replace("-", "_") + ".json"
+    raw = json.loads((operators.data_dir() / "families" / fname).read_text())
+    assert len(raw) == len(fams)
+    for obj, fam in zip(raw, fams):
+        if fam.malformed:
+            continue
+        got = {f"chart/{r}/{c}": e for r, row in enumerate(fam.chart)
+               for c, e in enumerate(row)}
+        got.update((f"constraints/{s}", e)
+                   for s, e in enumerate(fam.constraints))
+        want = dict(_texts(obj))
+        assert got.keys() == want.keys()
+        for where, text in want.items():
+            e, again = got[where], parse_expr(text)
+            assert str(e) == str(again), (fam.label(), where)
+            assert (e.den is RE_ONE.den) == (again.den is RE_ONE.den)
+
+
+def test_two_loads_share_no_expression():
+    first = [f for k in KIND_NAMES for f in load_families(k)]
+    second = [f for k in KIND_NAMES for f in load_families(k)]
+    ids = {id(e) for e in _exprs(first)}
+    assert ids and ids.isdisjoint(id(e) for e in _exprs(second))
+
+
+def test_a_bad_text_raises_at_its_own_pointer(tmp_path):
+    # the bad text follows good copies of its neighbours, and repeats
+    p = tmp_path / "nijenhuis.json"
+    good = _family_json()[0]
+    bad_chart = [["k11", "0", "0", "0"], ["0", "0", "k11+", "0"],
+                 ["0", "k11+", "0", "0"], ["0"] * 4]
+    p.write_text(json.dumps([good, dict(good, index=2, chart=bad_chart)]))
+    with pytest.raises(CatalogError) as err:
+        load_families("nijenhuis", p)
+    assert err.value.pointer == "/1/chart/1/2"
+    p.write_text(json.dumps([good, dict(good, index=2,
+                                        constraints=["k11", "k11 *"])]))
+    with pytest.raises(CatalogError) as err:
+        load_families("nijenhuis", p)
+    assert err.value.pointer == "/1/constraints/1"
 
 
 # ---------------------------------------------------------------------------
