@@ -29,11 +29,10 @@ takes six boolean operations, a product four ANDs and two ORs, and
 negation swaps the planes.  Above p = 3 a value is one plane of int64
 digits, reduced mod p after every operation.
 
-The compiled path ANDs the nonzero planes of a monomial's entries, at
-p = 3 XORs the twos planes of its odd-exponent entries into its sign (x^2
-is the indicator of x != 0) and negates the terms with coefficient 2, and
-sums each equation pairwise.  Above p = 3 its int32 kernel is refused
-where the worst case of its intermediates does not fit.
+The compiled path has one kernel for every prime, too.  It multiplies
+each monomial out of its entries' planes with the field's product, scales
+the monomials by each distinct coefficient, and sums each equation
+pairwise with the field's sum.
 
 The direct path has one kernel for every prime.  It reads only the
 structure constants and the weight mod p, reduced once per sweep with the
@@ -43,8 +42,8 @@ applied only along the output coordinates that some nonzero constant has.
 The catalog's tables have few nonzero constants (L17 has 2 of 64 mod 3),
 so each contraction takes a few plane products per constant, and applying
 T n^3 per output coordinate, in place of the n^4 products of a dense
-contraction.  Its largest intermediate, a product of two values below p,
-must fit int64.
+contraction.  On both paths the largest intermediate, a product of two
+values below p, must fit int64.
 
 A sweep walks aligned blocks of p^k matrices in this process: p^k <= 2^14
 at p <= 3, where a digit is one bit, and p^k <= 2^14 / n^2 above, where it
@@ -213,36 +212,35 @@ class CompiledSystem:
         return self.coeffs.shape[1]
 
     @cached_property
-    def bit_terms(self) -> tuple:
+    def plan(self) -> tuple:
         """Gather arrays and a summation plan that evaluate the system over
-        the value planes of a block (_value_planes), at p = 2 or 3.
+        the planes of a block (_digit_block with a stride), at any p.
 
-        Returns (positions, mono_starts, odd, odd_starts, levels).
-        Monomial t is nonzero where one of the value planes of each entry
-        positions[mono_starts[t]:mono_starts[t + 1]] is set; no monomial is
-        constant, because every operator identity vanishes at T = 0.  At
-        p = 3 its sign is the XOR of the twos planes
-        odd[odd_starts[t]:odd_starts[t + 1]], the entries of odd exponent
-        (x^2 is the indicator of x != 0); each odd segment opens with the
-        index n*n of an all-zero plane, so none is empty.  Each of the
-        levels (left, right, single) adds the rows left to the rows right
-        pairwise and carries the rows single over, until one row per
-        equation is left.  The first level reads the terms off the
-        monomials' values stacked as (ones, twos): a coefficient 2, which
-        only p = 3 has, reads monomial t at M + t, which swaps its planes
-        and so negates it.  The rows are not in equation order, and need
-        not be, since the mask only asks whether any of them is nonzero.
+        Returns (factors, coefs, levels).  Row t of factors lists the
+        entries of monomial t, x^e as e columns, padded with the index n*n
+        of an appended plane of the constant 1; no monomial is constant,
+        because every operator identity vanishes at T = 0.  coefs holds
+        the distinct coefficients, ascending.  Each of the levels (left,
+        right, single) adds the rows left to the rows right pairwise and
+        carries the rows single over, until one row per equation is left.
+        The first level reads the terms off the monomials' values scaled
+        by each of coefs in turn and stacked: row t + M*j is monomial t
+        times coefs[j], for M monomials.  The rows are not in equation
+        order, and need not be, since the mask only asks whether any of
+        them is nonzero.
         """
-        n2 = self.n * self.n
-        positions, mono_starts, odd, odd_starts = [], [], [], []
-        for mono in self.monos:
-            mono_starts.append(len(positions))
-            positions += [pos for pos, _ in mono]
-            odd_starts.append(len(odd))
-            odd += [n2] + [pos for pos, e in mono if e % 2]
+        n2, count = self.n * self.n, len(self.monos)
+        degree = max((sum(e for _, e in mono) for mono in self.monos),
+                     default=0)
+        factors = np.full((count, degree), n2, dtype=np.intp)
+        for t, mono in enumerate(self.monos):
+            flat = [pos for pos, e in mono for _ in range(e)]
+            factors[t, :len(flat)] = flat
         # one row per term, each equation's rows together
         eqs, mids = np.nonzero(self.coeffs.T)
-        rows = mids + len(self.monos) * (self.coeffs[mids, eqs] == 2)
+        values = self.coeffs[mids, eqs]
+        coefs = np.unique(values)
+        rows = mids + count * np.searchsorted(coefs, values)
         levels = []
         while not levels or (np.diff(eqs) == 0).any():
             first = np.diff(eqs, prepend=-1) != 0     # opens its equation
@@ -256,20 +254,7 @@ class CompiledSystem:
             eqs = np.concatenate([eqs[left], eqs[single]])
             rows = np.argsort(eqs, kind="stable")
             eqs = eqs[rows]
-        return (np.array(positions, dtype=np.intp),
-                np.array(mono_starts, dtype=np.intp),
-                np.array(odd, dtype=np.intp),
-                np.array(odd_starts, dtype=np.intp), tuple(levels))
-
-    def worst_intermediate(self) -> int:
-        """Largest value the integer kernel can hold before reducing mod p:
-        an equation's sum with every entry at p - 1.  Every term is
-        nonnegative, so partial sums and products stay below it."""
-        if not self.monos:
-            return 0
-        top = np.array([(self.p - 1) ** sum(e for _, e in mono)
-                        for mono in self.monos], dtype=object)
-        return int(max(self.coeffs.T.astype(object) @ top))
+        return factors, tuple(int(c) for c in coefs), tuple(levels)
 
 
 def _quotient_mod_p(coef: Scalar, dval: Scalar, p: int) -> int:
@@ -314,7 +299,7 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
             terms[mid] = cval
         if terms:
             columns.append(terms)
-    coeffs = np.zeros((len(monos), len(columns)), dtype=np.int32)
+    coeffs = np.zeros((len(monos), len(columns)), dtype=np.int64)
     for k, terms in enumerate(columns):
         for mid, cval in terms.items():
             coeffs[mid, k] = cval
@@ -444,7 +429,7 @@ class _Ints(NamedTuple):
         return (x[0] * y[0] % self.p,)
 
     def scale(self, x: tuple, c: int) -> tuple:
-        return (x[0] * c % self.p,)
+        return x if c == 1 else (x[0] * c % self.p,)
 
     def const(self, c: int, shape: tuple = ()) -> tuple:
         return (np.full(shape, c, np.int64),)
@@ -464,41 +449,23 @@ def _field(p: int):
 
 
 def _compiled_mask(cs: CompiledSystem, block: np.ndarray) -> np.ndarray:
-    if cs.p <= 3:
-        return _compiled_mask_bits(cs, block)
-    return _compiled_mask_int(cs, block[0].T)
-
-
-def _compiled_mask_int(cs: CompiledSystem, digits: np.ndarray) -> np.ndarray:
-    values = np.ones((digits.shape[0], len(cs.monos)), dtype=np.int32)
-    for col, mono in enumerate(cs.monos):
-        acc = np.ones(digits.shape[0], dtype=np.int32)
-        for pos, exp in mono:
-            acc = acc * digits[:, pos] ** exp
-        values[:, col] = acc
-    residues = (values @ cs.coeffs) % cs.p
-    return (residues == 0).all(axis=1)
-
-
-def _compiled_mask_bits(cs: CompiledSystem,
-                        planes: np.ndarray) -> np.ndarray:
-    """The system at p = 2 or 3 over the value planes of a block
-    (_value_planes), by the plan CompiledSystem.bit_terms."""
-    positions, mono_starts, odd, odd_starts, levels = cs.bit_terms
+    """The mask of a block's solutions: the system over the block's planes
+    (_digit_block with a stride) by the plan CompiledSystem.plan, as values
+    of the field record _field(cs.p)."""
+    factors, coefs, levels = cs.plan
     field = _field(cs.p)
     if not cs.monos:
-        return field.mask(np.zeros_like(planes[0, 0]))
-    # a monomial is nonzero where each of its entries is; at p = 3 the sign
-    # of its odd-exponent entries splits that plane into ones and twos
-    nonzero = np.bitwise_or.reduce(planes, axis=0)
-    x = (np.bitwise_and.reduceat(nonzero[positions], mono_starts, axis=0),)
-    if cs.p == 3:
-        twos = planes[1]
-        signs = np.concatenate([twos, np.zeros_like(twos[:1])])
-        sign = np.bitwise_xor.reduceat(signs[odd], odd_starts, axis=0)
-        x = (x[0] & ~sign, x[0] & sign)
-    # the first level reads a coefficient 2 off the reversed planes
-    x = tuple(np.concatenate(v) for v in (x, x[::-1])[:len(x)])
+        return field.mask(np.zeros_like(block[0, 0]))
+    one = field.const(1, (1, block.shape[-1]))
+    planes = tuple(np.concatenate(v) for v in zip(block, one))
+
+    def column(d):
+        return tuple(a[factors[:, d]] for a in planes)
+    x = column(0)
+    for d in range(1, factors.shape[1]):
+        x = field.mul(x, column(d))
+    x = tuple(np.concatenate(v)
+              for v in zip(*(field.scale(x, c) for c in coefs)))
     for left, right, single in levels:
         # each level's inputs go as soon as they are read, so that no more
         # than one level's rows are held with their sums
@@ -630,29 +597,21 @@ def _direct_mask(form: _DirectForm, kind: OperatorKind,
 # ---------------------------------------------------------------------------
 # sweeping
 
-def _refuse_width(worst: int, dtype, path: str, p: int):
-    limit = int(np.iinfo(dtype).max)
-    if worst > limit:
-        raise RefusedSize(
-            f"the {path} kernel over F_{p} can reach {worst} before reducing "
-            f"mod p, past the {np.dtype(dtype).name} limit {limit}; use a "
-            f"smaller prime")
-
-
 def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
                  budget: int = DEFAULT_BUDGET, path: str = "compiled"):
     """The evaluation kernel of one sweep, built once, after every refusal.
 
     Every refusal of a sweep is made here, before any matrix is evaluated:
     a field that is not a supported prime, an unbound table, a weight that
-    is unbound or has no value mod p, a sweep past the budget, a kernel
-    whose integers could overflow at this p, and an unknown path.  The
-    compiled kernel keeps its coefficients, and above p = 3 its
-    intermediates, in int32; the direct kernel's largest intermediate is
-    a product of two values below p, (p - 1)^2, in int64 above p = 3.  The
-    kernel maps a block's planes (_digit_block) to the mask of its
-    solutions.  It is a partial of a module-level mask function, so it
-    pickles: a process pool sends this one kernel to every shard job.
+    is unbound or has no value mod p, a sweep past the budget, an unknown
+    path, and a prime whose integers could overflow.  Both kernels keep
+    their values below p, reduced after every operation, and the largest
+    value either holds before reducing is a product of two of them,
+    (p - 1)^2, which must fit int64; at p <= 3 a value is bit planes and
+    the rule holds trivially.  The kernel maps a block's planes
+    (_digit_block) to the mask of its solutions.  It is a partial of a
+    module-level mask function, so it pickles: a process pool sends this
+    one kernel to every shard job.
     """
     _check_prime(p)
     if not table.is_bound():
@@ -669,16 +628,16 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
         raise RefusedSize(
             f"sweeping {p}^{n * n} = {total} matrices exceeds the budget "
             f"{budget}; pass a larger budget to allow it")
+    if path not in ("compiled", "direct"):
+        raise ValueError(f"unknown evaluation path {path!r}")
+    worst, limit = (p - 1) ** 2, int(np.iinfo(np.int64).max)
+    if worst > limit:
+        raise RefusedSize(
+            f"the {path} kernel over F_{p} can reach {worst} before reducing "
+            f"mod p, past the int64 limit {limit}; use a smaller prime")
     if path == "compiled":
-        _refuse_width(p - 1, np.int32, path, p)     # a coefficient
-        cs = compile_system(table, kind, p)
-        if p > 3:
-            _refuse_width(cs.worst_intermediate(), np.int32, path, p)
-        return partial(_compiled_mask, cs)
-    if path == "direct":
-        _refuse_width((p - 1) ** 2, np.int64, path, p)  # a product
-        return partial(_direct_mask, _direct_form(table, w, p), kind)
-    raise ValueError(f"unknown evaluation path {path!r}")
+        return partial(_compiled_mask, compile_system(table, kind, p))
+    return partial(_direct_mask, _direct_form(table, w, p), kind)
 
 
 def solution_indices(table: AlgebraTable, kind: OperatorKind, p: int, *,

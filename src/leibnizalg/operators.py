@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .algebra import AlgebraTable, CatalogError, ResidualTensor, \
@@ -211,16 +212,18 @@ class OperatorFamily:
     def label(self) -> str:
         return f"{self.algebra} {self.kind} #{self.index}"
 
+    @cached_property
+    def _dimension(self) -> int:
+        """family_dimension, counted on first use and kept."""
+        return len(set().union(*(e.params() for row in self.chart
+                                 for e in row)))
+
 
 def family_dimension(fam: OperatorFamily) -> int:
     """Number of free parameters actually occurring in the chart."""
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
-    seen = set()
-    for row in fam.chart:
-        for e in row:
-            seen |= e.params()
-    return len(seen)
+    return fam._dimension
 
 
 @dataclass
@@ -229,6 +232,15 @@ class Verdict:
     witness: tuple | None  # (i, j, q, condition, Poly numerator)
     left: bool | None = None   # averaging only
     right: bool | None = None  # averaging only
+
+
+@lru_cache(maxsize=None)
+def _family_kind(name: str, weight: str | None) -> OperatorKind:
+    """The kind a family of that kind and weight text is checked against,
+    its weight (0 when absent) parsed once per distinct text."""
+    if name == "rota-baxter":
+        return make_kind(name, weight or "0")
+    return make_kind(name)
 
 
 def verify_family(table: AlgebraTable, fam: OperatorFamily,
@@ -246,10 +258,10 @@ def verify_family(table: AlgebraTable, fam: OperatorFamily,
         if con.is_zero:
             raise DenominatorVanishes(
                 f"{fam.label()} has an identically zero constraint")
-    if fam.kind == "rota-baxter":
-        kind = make_kind(fam.kind, weight if weight is not None else fam.weight or "0")
+    if fam.kind == "rota-baxter" and weight is not None:
+        kind = make_kind(fam.kind, weight)
     else:
-        kind = make_kind(fam.kind)
+        kind = _family_kind(fam.kind, fam.weight)
     res = operator_residual(table, kind, fam.chart)
     hit = res.first_failure()
     witness = None if hit is None else hit[:-1] + (hit[-1].num,)

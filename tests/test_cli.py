@@ -308,13 +308,13 @@ def test_enumerate_refuses_huge_prime_before_any_work(capsys, monkeypatch):
     assert code == 2
     assert "budget" in err
     assert time.perf_counter() - t0 < 1.0
-    # within the budget, p - 1 is past int32, where the compiled kernel
-    # keeps its coefficients
+    # within the budget, (p - 1)^2 is past int64, where the kernels hold
+    # a product before reducing it
     monkeypatch.setattr(fp, "compile_system", _no_work(monkeypatch))
     code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
                        "--field", str(p), "--budget", str(p ** 16 + 1))
     assert code == 2
-    assert "refused" in err and "int32" in err
+    assert "refused" in err and "int64" in err
 
 
 def _no_work(monkeypatch):
@@ -326,12 +326,12 @@ def _no_work(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("path,dtype", [("compiled", "int32"),
+@pytest.mark.parametrize("path,dtype", [("compiled", "int64"),
                                         ("direct", "int64")])
 def test_enumerate_refuses_prime_past_kernel_width(capsys, monkeypatch,
                                                    path, dtype):
     _no_work(monkeypatch)
-    p = {"compiled": 1009, "direct": 3037000507}[path]
+    p = 3037000507            # the least prime with (p - 1)^2 past int64
     code, _, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
                        "--field", str(p), "--budget", str(p ** 16),
                        "--path", path)

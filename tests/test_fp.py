@@ -325,23 +325,30 @@ def _direct_mask_int(form, kind, digits, dtype=np.int64):
     return left & right
 
 
-@settings(max_examples=30, deadline=None)
-@given(mod_tables(2), kinds(), st.data())
-def test_bitsliced_compiled_kernel_matches_int_kernel(table, kind, data):
-    cs = compile_system(table, kind, 2)
-    digits = data.draw(digit_blocks(table.dim, 2))
-    got = fp._compiled_mask_bits(cs, _planes(digits, 2))[:len(digits)]
-    assert (got.tolist()
-            == fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist())
+def _compiled_mask_int(cs, digits, dtype=np.int64):
+    """The compiled kernel's reference: every monomial of the system as a
+    product of entries over a digit block, then each equation as a matrix
+    product with the coefficients, in dtype (object for exact ints),
+    reduced mod p once at the end."""
+    digits = np.asarray(digits).astype(dtype)
+    values = np.ones((len(digits), len(cs.monos)), dtype)
+    for col, mono in enumerate(cs.monos):
+        for pos, exp in mono:
+            values[:, col] *= digits[:, pos] ** exp
+    residues = (values @ cs.coeffs.astype(dtype)) % cs.p
+    return (residues == 0).all(axis=1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 @settings(max_examples=30, deadline=None)
-@given(mod_tables(3), kinds(), st.data())
-def test_f3_compiled_kernel_matches_int_kernel(table, kind, data):
-    cs = compile_system(table, kind, 3)
-    digits = data.draw(digit_blocks(table.dim, 3))
-    got = fp._compiled_mask_bits(cs, _planes(digits, 3))[:len(digits)]
-    assert got.tolist() == fp._compiled_mask_int(cs, digits).tolist()
+@given(st.data())
+def test_compiled_kernel_matches_int_kernel(p, data):
+    table = data.draw(mod_tables(p))
+    kind = data.draw(kinds())
+    cs = compile_system(table, kind, p)
+    digits = data.draw(digit_blocks(table.dim, p))
+    got = fp._compiled_mask(cs, _planes(digits, p))[:len(digits)]
+    assert got.tolist() == _compiled_mask_int(cs, digits).tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -434,9 +441,9 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     kind = data.draw(kinds())
     n = table.dim
     idx = np.arange(p ** (n * n), dtype=np.int64)
-    digits = fp._digit_block(idx, n * n, p).astype(np.int32)
+    digits = fp._digit_block(idx, n * n, p)
     cs = compile_system(table, kind, p)
-    want = idx[fp._compiled_mask_int(cs, digits)].tolist()
+    want = idx[_compiled_mask_int(cs, digits)].tolist()
     assert want == idx[_direct_mask_int(_form(table, kind, p), kind,
                                         digits)].tolist()
     for path in ("compiled", "direct"):
@@ -447,13 +454,9 @@ def test_small_sweeps_match_the_int_kernels(p, data):
         assert np.sort(np.concatenate(parts)).tolist() == want
 
 
-def test_a_block_above_p3_holds_an_int64_per_digit(cmap):
-    # one block of the direct kernel at p = 5, as a shard of L1 nijenhuis
-    # walks it: 5^4 matrices, the largest power of 5 whose 16 int64 digits
-    # per matrix fill at most 2^14 words, and the kernel's peak stays at or
-    # under 20 MB (86 MB for the 5^6 blocks of the 2^14 bound alone)
-    evaluate = sweep_kernel(cmap["L1"], make_kind("nijenhuis"), 5,
-                            budget=5 ** 16, path="direct")
+def _first_block_peak(evaluate, n, p):
+    """The width of the first block of shard 0 and the tracemalloc peak
+    of the kernel evaluate over it."""
     seen = []
 
     class Stop(Exception):
@@ -468,10 +471,31 @@ def test_a_block_above_p3_holds_an_int64_per_digit(cmap):
             tracemalloc.stop()
         raise Stop
     with pytest.raises(Stop):
-        sweep_shard(first_block, 4, 5, 0)
-    (width, peak), = seen
+        sweep_shard(first_block, n, p, 0)
+    return seen[0]
+
+
+def test_a_block_above_p3_holds_an_int64_per_digit(cmap):
+    # one block of the direct kernel at p = 5, as a shard of L1 nijenhuis
+    # walks it: 5^4 matrices, the largest power of 5 whose 16 int64 digits
+    # per matrix fill at most 2^14 words, and the kernel's peak stays at or
+    # under 20 MB (86 MB for the 5^6 blocks of the 2^14 bound alone)
+    evaluate = sweep_kernel(cmap["L1"], make_kind("nijenhuis"), 5,
+                            budget=5 ** 16, path="direct")
+    width, peak = _first_block_peak(evaluate, 4, 5)
     assert width == 5 ** 4 == max(5 ** k for k in range(9)
                                   if 5 ** k * 16 <= fp._BLOCK)
+    assert peak <= 20e6
+
+
+def test_a_compiled_block_above_p3_stays_under_20_mb(cmap):
+    # the compiled kernel holds every monomial of the block, scaled by
+    # each distinct coefficient; L9 reynolds, of degree 3, peaks at about
+    # 12 MB over one 5^4 block
+    evaluate = sweep_kernel(cmap["L9"], make_kind("reynolds"), 5,
+                            budget=5 ** 16)
+    width, peak = _first_block_peak(evaluate, 4, 5)
+    assert width == 5 ** 4
     assert peak <= 20e6
 
 
@@ -505,8 +529,8 @@ def _int_kernel_sweep(table, kind):
     compiled, direct = [], []
     for start in range(0, 2 ** (n * n), 1 << 14):
         idx = np.arange(start, start + (1 << 14), dtype=np.int64)
-        digits = ((idx[:, None] >> np.arange(n * n)) & 1).astype(np.int32)
-        compiled.append(idx[fp._compiled_mask_int(cs, digits)])
+        digits = (idx[:, None] >> np.arange(n * n)) & 1
+        compiled.append(idx[_compiled_mask_int(cs, digits)])
         direct.append(idx[_direct_mask_int(form, kind, digits)])
     return np.concatenate(compiled).tolist(), np.concatenate(direct).tolist()
 
@@ -537,57 +561,74 @@ def no_sweep(monkeypatch):
 
 
 def test_width_guard_refuses_overflowing_primes(cmap, no_sweep):
-    p = 1009
-    budget = p ** 16 + 1      # the budget alone would admit the sweep
-    kind = make_kind("reynolds")
-    with pytest.raises(RefusedSize, match="int32"):
-        solution_indices(cmap["L1"], kind, p, budget=budget,
-                         path="compiled")
     q = 3037000507            # the least prime with (q - 1)^2 past int64
-    with pytest.raises(RefusedSize, match="int64"):
-        solution_indices(cmap["L1"], kind, q, budget=q ** 16 + 1,
-                         path="direct")
-
-
-def test_compiled_width_guard_is_tight_and_sufficient(cmap, no_sweep):
-    # on L1 reynolds the int32 bound falls between 673 and 677
     kind = make_kind("reynolds")
-    with pytest.raises(RefusedSize, match="int32"):
-        solution_indices(cmap["L1"], kind, 677, budget=677 ** 16,
-                         path="compiled")
-    cs = compile_system(cmap["L1"], kind, 673)
-    assert cs.worst_intermediate() <= np.iinfo(np.int32).max
-    wide = dataclasses.replace(cs, coeffs=cs.coeffs.astype(np.int64))
-    rng = np.random.default_rng(0)
-    digits = rng.integers(0, 673, size=(200, 16))
-    digits[0] = 672                       # the worst case, every entry p - 1
-    assert (fp._compiled_mask_int(cs, digits.astype(np.int32)).tolist()
-            == fp._compiled_mask_int(wide, digits).tolist())
+    for path in ("compiled", "direct"):
+        # the budget alone would admit the sweep
+        with pytest.raises(RefusedSize, match="int64"):
+            solution_indices(cmap["L1"], kind, q, budget=q ** 16 + 1,
+                             path=path)
 
 
-def test_direct_width_guard_is_tight_and_sufficient(no_sweep):
-    # 3037000493 is the largest prime whose (p - 1)^2 fits int64
-    p, q = 3037000493, 3037000507
-    assert (p - 1) ** 2 <= np.iinfo(np.int64).max < (q - 1) ** 2
-    table = AlgebraTable("top", 2, [[[RatExpr.const(p - 1)
-                                      for _ in range(2)] for _ in range(2)]
-                                    for _ in range(2)])
-    kind = make_kind("nijenhuis")
-    with pytest.raises(AssertionError, match="the sweep started"):
-        solution_indices(table, kind, p, budget=p ** 4, path="direct")
-    with pytest.raises(RefusedSize, match="int64"):
-        solution_indices(table, kind, q, budget=q ** 4, path="direct")
-    # every constant, the weight and many entries at p - 1, against exact
-    # ints; the rows open with 0, I and -I, so that some are solutions
+#: 3037000493 is the largest prime whose (p - 1)^2 fits int64
+_EDGE, _PAST_EDGE = 3037000493, 3037000507
+
+
+def _edge_table():
+    """A dimension 2 table with every structure constant at p - 1."""
+    return AlgebraTable("top", 2, [[[RatExpr.const(_EDGE - 1)
+                                     for _ in range(2)] for _ in range(2)]
+                                   for _ in range(2)])
+
+
+def _edge_digits():
+    """Digits at the edge prime with many entries at p - 1; the rows open
+    with 0, I and -I, so that some are solutions."""
+    p = _EDGE
     rng = np.random.default_rng(0)
     digits = rng.choice([0, 0, 0, 1, p - 1], size=(300, 4))
     digits[:3] = [[0, 0, 0, 0], [1, 0, 0, 1], [p - 1, 0, 0, p - 1]]
-    for name in KIND_NAMES:
-        k = make_kind(name, p - 1) if name == "rota-baxter" \
-            else make_kind(name)
-        form = _form(table, k, p)
-        want = _direct_mask_int(form, k, digits.astype(object), object)
-        got = fp._direct_mask(form, k, _planes(digits, p))
+    return digits
+
+
+def _edge_kinds():
+    p = _EDGE
+    return [make_kind(name, p - 1) if name == "rota-baxter"
+            else make_kind(name) for name in KIND_NAMES]
+
+
+def _assert_width_guard_is_tight(path):
+    p, q = _EDGE, _PAST_EDGE
+    assert (p - 1) ** 2 <= np.iinfo(np.int64).max < (q - 1) ** 2
+    table, kind = _edge_table(), make_kind("nijenhuis")
+    with pytest.raises(AssertionError, match="the sweep started"):
+        solution_indices(table, kind, p, budget=p ** 4, path=path)
+    with pytest.raises(RefusedSize, match="int64"):
+        solution_indices(table, kind, q, budget=q ** 4, path=path)
+
+
+def test_compiled_width_guard_is_tight_and_sufficient(no_sweep):
+    _assert_width_guard_is_tight("compiled")
+    # every constant, the weight and many entries at p - 1, against exact
+    # ints
+    digits = _edge_digits()
+    for kind in _edge_kinds():
+        cs = compile_system(_edge_table(), kind, _EDGE)
+        want = _compiled_mask_int(cs, digits, object)
+        got = fp._compiled_mask(cs, _planes(digits, _EDGE))
+        assert got.tolist() == want.tolist()
+        assert 0 < want.sum() < len(digits)
+
+
+def test_direct_width_guard_is_tight_and_sufficient(no_sweep):
+    _assert_width_guard_is_tight("direct")
+    # every constant, the weight and many entries at p - 1, against exact
+    # ints
+    digits = _edge_digits()
+    for kind in _edge_kinds():
+        form = _form(_edge_table(), kind, _EDGE)
+        want = _direct_mask_int(form, kind, digits.astype(object), object)
+        got = fp._direct_mask(form, kind, _planes(digits, _EDGE))
         assert got.tolist() == want.tolist()
         assert 0 < want.sum() < len(digits)
 

@@ -669,6 +669,32 @@ def test_family_dimension_malformed_raises(family_index):
         family_dimension(fam)
 
 
+def test_family_dimension_is_counted_once(family_index, monkeypatch):
+    fam = family_index[("L6", "nijenhuis", 1)]
+    assert family_dimension(fam) == 7
+
+    def counted_again(self):
+        raise AssertionError("the chart's parameters were collected again")
+    monkeypatch.setattr(RatExpr, "params", counted_again)
+    assert family_dimension(fam) == 7
+
+
+def test_verify_family_parses_each_weight_text_once(cmap, monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_expr(text)
+    monkeypatch.setattr(operators, "parse_expr", counting)
+    operators._family_kind.cache_clear()
+    fams = [f for f in load_families("rota-baxter")
+            if f.algebra == "L1" and not f.malformed]
+    parsed.clear()
+    verdicts = [verify_family(cmap["L1"], f).holds for f in fams * 2]
+    assert parsed == ["0"]
+    assert verdicts == verdicts[:len(fams)] * 2
+
+
 # ---------------------------------------------------------------------------
 # verify_family
 
