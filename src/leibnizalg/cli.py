@@ -353,8 +353,9 @@ def _sweep(args):
     starts.  A sweep within DEFAULT_BUDGET, or on one CPU, runs in this
     process; a larger one runs its p^n shards on a pool of min(p^n, CPU
     count) processes, each shard job carrying only the kernel and its
-    shard number.  Returns (source table, parsed --param values, bound
-    table, kind, p, ascending solution indices).
+    shard number, and at most four jobs per process submitted at once.
+    Returns (source table, parsed --param values, bound table, kind, p,
+    ascending solution indices).
     """
     source = _table(args, args.name)
     params = _parse_params(args.param)
@@ -369,9 +370,13 @@ def _sweep(args):
     workers = min(p ** n, os.cpu_count() or 1)
     if p ** (n * n) <= DEFAULT_BUDGET or workers == 1:
         return source, params, table, kind, p, sweep_shard(evaluate, n, p)
+    # Executor.map submits a job for every item before it yields a result,
+    # so the shards go to it in batches of a few per worker
+    shards, batch, parts = p ** n, 4 * workers, []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(sweep_shard, evaluate, n, p),
-                              range(p ** n)))
+        for start in range(0, shards, batch):
+            parts += pool.map(partial(sweep_shard, evaluate, n, p),
+                              range(start, min(start + batch, shards)))
     return source, params, table, kind, p, np.sort(np.concatenate(parts))
 
 

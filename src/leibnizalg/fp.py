@@ -50,10 +50,10 @@ at p <= 3, where a digit is one bit, and p^k <= 2^14 / n^2 above, where it
 is an int64 (625 matrices at p = 5 in dimension 4, whose direct kernel
 then peaks at a few MB).  Within one, the counter's k digits above a
 shard's row run through a pattern that is the same in every block, and
-every other digit is fixed.  So at p <= 3 the planes of a block are read
-off the counter: the pattern's planes are built once per (p, k), and a
-fixed digit's plane is all ones or zeros.  No matrix is decoded digit by
-digit and no plane is packed per block.
+every other digit is fixed.  So at every prime the planes of a block are
+read off the counter: the field record encodes the pattern's digits once
+per (p, k), and a fixed digit's plane is that digit's encoding at every
+matrix.  No matrix is decoded digit by digit.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, log
 from typing import NamedTuple
 
 import numpy as np
@@ -214,7 +214,7 @@ class CompiledSystem:
     @cached_property
     def plan(self) -> tuple:
         """Gather arrays and a summation plan that evaluate the system over
-        the planes of a block (_digit_block with a stride), at any p.
+        the planes of a block (_digit_block), at any p.
 
         Returns (factors, coefs, levels).  Row t of factors lists the
         entries of monomial t, x^e as e columns, padded with the index n*n
@@ -307,76 +307,41 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
 
 
 def _digit_block(idx: np.ndarray, n2: int, p: int,
-                 stride: int | None = None) -> np.ndarray:
-    """Digit t (little-endian, base p) of every counter value, in column t.
+                 stride: int) -> np.ndarray:
+    """The planes of one aligned block of sweep_shard (see there), as the
+    kernels take them: _field(p).encode of the block's digits, where digit
+    t (little-endian, base p) of a counter value is entry t of its matrix.
 
-    With stride, idx is one aligned block of sweep_shard (see there) with
-    that step, and the block's planes are returned instead, as the kernels
-    take them: at p <= 3 _value_planes of its digits, built from the
-    counter, and above one plane of its digits, shape (1, n2, idx.size).
+    idx is first + stride * (0 .. size - 1), where size = p^k and stride =
+    p^s, and first has k zero digits from digit s up.  Those k digits run
+    through one fixed pattern in every such block; every other digit is
+    the same for the whole block, so its plane is that digit's encoding at
+    every matrix.  The planes are read off the counter at every prime.
     """
-    if stride is not None and p <= 3:
-        return _counter_planes(int(idx[0]), idx.size, n2, p, stride)
-    digits = np.empty((n2, idx.size), dtype=np.int64)
-    rem = idx.astype(np.int64)
-    for t in range(n2):
-        digits[t] = rem % p
-        rem = rem // p
-    return digits.T if stride is None else digits[None]
-
-
-def _bit_planes(digits: np.ndarray) -> np.ndarray:
-    """A 0/1 digit block as bit planes: bit i of row t's uint64 words is
-    digit t of matrix i.  Bits past the last matrix are 0."""
-    packed = np.packbits(np.ascontiguousarray(digits.T), axis=1,
-                         bitorder="little")
-    pad = -packed.shape[1] % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view(np.uint64)
-
-
-def _value_planes(digits: np.ndarray, p: int) -> np.ndarray:
-    """A digit block over F_p, p <= 3, as one-hot bit planes stacked by
-    value, shape (p - 1, n*n, words): bit i of row t's words in plane
-    v - 1 is set when digit t of matrix i is v.  Bits past the last matrix
-    are 0, the value 0."""
-    return np.stack([_bit_planes(digits == v) for v in range(1, p)])
+    k, s = round(log(idx.size, p)), round(log(stride, p))
+    pattern, valid = _counter_pattern(p, k)
+    digits, rest = [], int(idx[0])
+    for _ in range(n2):
+        rest, digit = divmod(rest, p)
+        digits.append(digit)
+    planes = valid * _field(p).encode(np.array([digits], np.int64))
+    planes[:, s:s + k] = pattern
+    return planes
 
 
 @lru_cache(maxsize=None)
 def _counter_pattern(p: int, k: int) -> tuple:
-    """The value planes of the k low digits of the counter values
-    0 .. p^k - 1, and the plane that is set for every one of those p^k
-    matrices.  Both are read-only."""
-    size = p ** k
-    # one byte per digit: the row-major indices of a p x ... x p grid are
-    # the digits, most significant first
-    digits = np.indices((p,) * k, dtype=np.uint8).reshape(k, size)[::-1].T
-    pattern = _value_planes(digits, p)
-    valid = _bit_planes(np.ones((size, 1), dtype=bool))[0]
+    """The planes (_field(p).encode) of the k low digits of the counter
+    values 0 .. p^k - 1, and the plane that holds 1 at every one of those
+    p^k matrices.  Both are read-only."""
+    size, encode = p ** k, _field(p).encode
+    # the row-major indices of a p x ... x p grid are the digits, most
+    # significant first, in the smallest dtype that holds p - 1
+    dtype = np.min_scalar_type(p - 1)
+    digits = np.indices((p,) * k, dtype=dtype).reshape(k, size)[::-1].T
+    pattern, valid = encode(digits), encode(np.ones((size, 1), dtype))[0]
     pattern.flags.writeable = valid.flags.writeable = False
     return pattern, valid
-
-
-def _counter_planes(first: int, size: int, n2: int, p: int,
-                    stride: int) -> np.ndarray:
-    """Planes of the aligned block first + stride * (0 .. size - 1), where
-    size = p^k and stride = p^s, p <= 3, and first has k zero digits from
-    digit s up.  Those k digits run through one fixed pattern in every
-    such block; every other digit is the same for the whole block, so its
-    plane is set for every matrix of the block or for none."""
-    k = s = 0
-    while p ** k < size:
-        k += 1
-    while p ** s < stride:
-        s += 1
-    pattern, valid = _counter_pattern(p, k)
-    const = np.array([first // p ** t % p for t in range(n2)])
-    hot = const[None, :, None] == np.arange(1, p)[:, None, None]
-    planes = np.where(hot, valid, np.uint64(0))
-    planes[:, s:s + k] = pattern
-    return planes
 
 
 class _Bits(NamedTuple):
@@ -386,18 +351,36 @@ class _Bits(NamedTuple):
     p: int
     bits = 1                        # a digit's bits in a plane
 
+    def encode(self, digits: np.ndarray) -> np.ndarray:
+        """A (matrices, n*n) digit block as one-hot planes stacked by
+        value, shape (p - 1, n*n, words): bit i of row t's words in plane
+        v - 1 is set when digit t of matrix i is v.  Bits past the last
+        matrix are 0, the value 0."""
+        rows, n2 = digits.shape
+        hot = np.zeros((self.p - 1, n2, -(-rows // 64) * 64), bool)
+        np.equal(digits.T, np.arange(1, self.p)[:, None, None],
+                 out=hot[..., :rows])
+        return np.packbits(hot, axis=-1, bitorder="little").view(np.uint64)
+
     def add(self, x: tuple, y: tuple) -> tuple:
         """Over F_3 after Kawahara, Aoki and Takagi."""
         if self.p == 2:
             return (x[0] ^ y[0],)
-        t = (x[0] | y[1]) ^ (x[1] | y[0])
-        return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
+        t = x[0] | y[1]             # in place: one temporary at a time
+        t ^= x[1] | y[0]
+        ones, twos = x[1] | y[1], x[0] | y[0]
+        ones ^= t
+        twos ^= t
+        return ones, twos
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         """Over F_3: 1 where the values agree, 2 where they differ."""
         if self.p == 2:
             return (x[0] & y[0],)
-        return (x[0] & y[0]) | (x[1] & y[1]), (x[0] & y[1]) | (x[1] & y[0])
+        ones, twos = x[0] & y[0], x[0] & y[1]
+        ones |= x[1] & y[1]
+        twos |= x[1] & y[0]
+        return ones, twos
 
     def scale(self, x: tuple, c: int) -> tuple:
         """c x for c in 1 .. p - 1: 2x over F_3 swaps the planes."""
@@ -422,6 +405,11 @@ class _Ints(NamedTuple):
     p: int
     bits = 64                       # a digit's bits in a plane
 
+    def encode(self, digits: np.ndarray) -> np.ndarray:
+        """A (matrices, n*n) digit block as one plane, shape (1, n*n,
+        matrices)."""
+        return np.ascontiguousarray(digits.T, dtype=np.int64)[None]
+
     def add(self, x: tuple, y: tuple) -> tuple:
         return ((x[0] + y[0]) % self.p,)
 
@@ -440,18 +428,18 @@ class _Ints(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _field(p: int):
-    """How the kernels store and combine values over F_p: the sum, product,
-    scaling by c in 1 .. p - 1 (negation is p - 1), a constant, the mask
-    of the matrices where a plane of failures is zero, and the bits a
-    digit takes in a plane, which bound a sweep's blocks.  One record per
-    prime."""
+    """How the kernels store and combine values over F_p: the planes of a
+    digit block, the sum, product, scaling by c in 1 .. p - 1 (negation is
+    p - 1), a constant, the mask of the matrices where a plane of failures
+    is zero, and the bits a digit takes in a plane, which bound a sweep's
+    blocks.  One record per prime."""
     return _Bits(p) if p <= 3 else _Ints(p)
 
 
 def _compiled_mask(cs: CompiledSystem, block: np.ndarray) -> np.ndarray:
     """The mask of a block's solutions: the system over the block's planes
-    (_digit_block with a stride) by the plan CompiledSystem.plan, as values
-    of the field record _field(cs.p)."""
+    (_digit_block) by the plan CompiledSystem.plan, as values of the field
+    record _field(cs.p)."""
     factors, coefs, levels = cs.plan
     field = _field(cs.p)
     if not cs.monos:
@@ -518,7 +506,7 @@ def _direct_mask(form: _DirectForm, kind: OperatorKind,
                  block: np.ndarray) -> np.ndarray:
     """The mask of a block's solutions, from the structure constants and
     the weight mod p alone, as values of form.field over the block's planes
-    (_digit_block with a stride), summed over the nonzero constants only.
+    (_digit_block), summed over the nonzero constants only.
 
     P[a, i] is entry (a, i).  Column s of bte, bet and C is coordinate
     k = out[s] of [T e_i, e_j], [e_i, T e_j] and [e_i, e_j], for the k that
@@ -568,13 +556,23 @@ def _direct_mask(form: _DirectForm, kind: OperatorKind,
     lhs = dense(btt, (n, n, n), lambda k: np.s_[:, :, k])
     T_out = part(P, np.s_[:, out])                                  # q,s
 
+    # one out column (tap) and one plane (differs) at a time, so that a
+    # block's temporaries fit in the heap the block before freed
     def tap(x, M=T_out):                                            # i,j,q
-        return total(mul(part(x, np.s_[:, :, None]),
-                         part(M, np.s_[None, None])), 3)
+        def column(s):
+            return mul(part(x, np.s_[:, :, None, s]),
+                       part(M, np.s_[None, None, :, s]))
+        acc = column(0)
+        for s in range(1, len(out)):
+            acc = add(acc, column(s))
+        return acc
 
     def differs(x):
-        diff = [(a ^ v).reshape(-1, width) for a, v in zip(lhs, x)]
-        return np.bitwise_or.reduce(np.concatenate(diff), axis=0)
+        bad = 0
+        for a, v in zip(lhs, x):
+            bad = bad | np.bitwise_or.reduce((a ^ v).reshape(-1, width),
+                                             axis=0)
+        return bad
 
     minus = field.p - 1
     if kind.name == "rota-baxter":
@@ -670,10 +668,10 @@ def sweep_shard(evaluate, n: int, p: int,
     an int64 above, so a block holds at most 2^14 / n^2 matrices.  The
     direct kernel's intermediates hold several hundred int64 per matrix in
     dimension 4; a 5^6 block of L1 nijenhuis peaked at 86 MB, a 5^4 one
-    at 3.4 MB.  Within a block the counter's k digits
-    above the shard's row run through all their values and every other
-    digit is fixed, so at p <= 3 _digit_block reads the block's planes off
-    the counter, and the kernel takes those.
+    at 2.8 MB.  Within a block the counter's k digits above the shard's
+    row run through all their values and every other digit is fixed, so
+    _digit_block reads the block's planes off the counter at every prime,
+    and the kernel takes those.
     """
     total = p ** (n * n)
     first, stride = 0, 1

@@ -441,10 +441,11 @@ def test_negative_count_is_usage_error(capsys, argv):
 
 def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
                                                   tmp_path):
-    sizes = []
+    sizes, batches = [], []
 
     class InlinePool:
-        """Records the requested size and runs the jobs in this process."""
+        """Records the requested size and the shards of each map call, and
+        runs the jobs in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -455,8 +456,9 @@ def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, shards):
+            batches.append(list(shards))
+            return map(fn, batches[-1])
 
     compiled = []
     compile_system = fp.compile_system
@@ -477,9 +479,14 @@ def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
     pooled = run(capsys, *argv)
     assert sizes == [4]
     assert len(compiled) == 2   # once per sweep, not once per shard
+    # every shard once, in order, and at most four per worker in one call
+    assert sum(batches, []) == list(range(289))
+    assert max(len(b) for b in batches) == 16 and len(batches) == 19
+    batches.clear()
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
     assert run(capsys, *argv) == pooled
     assert sizes == [4, 289]
+    assert batches == [list(range(289))]
     # and none on one CPU, or when the count is unknown
     for cpus in (1, None):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)

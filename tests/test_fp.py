@@ -279,12 +279,16 @@ def digit_blocks(draw, n, p):
         np.uint8 if p == 2 else np.int32)
 
 
-def _planes(digits, p):
-    """What the kernels take: the planes of a digit block, as
-    _digit_block gives them with a stride."""
-    if p <= 3:
-        return fp._value_planes(digits, p)
-    return np.ascontiguousarray(digits.T, dtype=np.int64)[None]
+def _digits(idx, n2, p):
+    """The reference the blocks read off the counter are checked against:
+    digit t (little-endian, base p) of every counter value, in column t,
+    decoded by integer division."""
+    digits = np.empty((idx.size, n2), dtype=np.int64)
+    rem = idx.astype(np.int64)
+    for t in range(n2):
+        digits[:, t] = rem % p
+        rem = rem // p
+    return digits
 
 
 def _form(table, kind, p):
@@ -347,7 +351,7 @@ def test_compiled_kernel_matches_int_kernel(p, data):
     kind = data.draw(kinds())
     cs = compile_system(table, kind, p)
     digits = data.draw(digit_blocks(table.dim, p))
-    got = fp._compiled_mask(cs, _planes(digits, p))[:len(digits)]
+    got = fp._compiled_mask(cs, fp._field(p).encode(digits))[:len(digits)]
     assert got.tolist() == _compiled_mask_int(cs, digits).tolist()
 
 
@@ -359,7 +363,7 @@ def test_direct_kernel_matches_int_kernel(p, data):
     kind = data.draw(kinds())
     form = _form(table, kind, p)
     digits = data.draw(digit_blocks(table.dim, p))
-    got = fp._direct_mask(form, kind, _planes(digits, p))
+    got = fp._direct_mask(form, kind, fp._field(p).encode(digits))
     assert (got[:len(digits)].tolist()
             == _direct_mask_int(form, kind, digits).tolist())
 
@@ -373,7 +377,7 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
                                     for ij in row] for row in consts])
     kind = make_kind("rota-baxter", RatExpr.const(1))
     idx = np.arange(3 ** 4, dtype=np.int64)
-    digits = fp._digit_block(idx, 4, 3)
+    digits = _digits(idx, 4, 3)
     want = idx[_direct_mask_int(_form(table, kind, 3), kind,
                                 digits)].tolist()
     assert 0 < len(want) < idx.size
@@ -388,47 +392,73 @@ def test_pickled_f3_kernel_sweeps_every_shard(monkeypatch, path):
     assert np.sort(got).tolist() == want
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
     # every block sweep_shard walks, whole sweeps and shards, and every
-    # aligned block of p^k matrices they hold: the planes read off the
-    # counter are the planes of the block's digits, padding bits of the
-    # last word included; at n = 1 a block is shorter than one word, and
-    # no power of 3 fills its last word
-    digit_block = fp._digit_block
-    walked = []
+    # aligned block of p^k matrices they hold whose planes fill at most
+    # _BLOCK words: the planes read off the counter are the planes of the
+    # block's decoded digits, padding bits of the last word included; at
+    # n = 1 a block is shorter than one word, and no power of 3 fills its
+    # last word
+    digit_block, field = fp._digit_block, fp._field(p)
+    walked = set()
+
+    def check(idx, planes):
+        want = field.encode(_digits(idx, n * n, p))
+        assert planes.dtype == want.dtype
+        assert np.array_equal(planes, want), (idx.size, idx[0], idx[1:2])
 
     def recorded(idx, n2, p, stride):
         planes = digit_block(idx, n2, p, stride)
-        walked.append((idx, planes))
+        check(idx, planes)
+        walked.add(idx.size)
         return planes
     monkeypatch.setattr(fp, "_digit_block", recorded)
 
     def accept_all(planes):
         return np.ones(planes.shape[-1] * 64, dtype=bool)
     total, rows = p ** (n * n), p ** n
+    words = fp._BLOCK * 64 // (n * n * field.bits)
     for shard in (None, 0, 1, rows - 1):
         first, stride = (0, 1) if shard is None else (shard, rows)
         span = total // stride
-        sizes = [p ** k for k in range(n * n + 1) if p ** k <= span]
+        sizes = [p ** k for k in range(n * n + 1)
+                 if p ** k <= min(span, words)]
         walked.clear()
         got = sweep_shard(accept_all, n, p, shard)
         assert got.tolist() == list(range(first, total, stride))
-        assert {idx.size for idx, _ in walked} == \
-            {max(size for size in sizes if size <= fp._BLOCK)}
-        blocks = list(walked)
+        assert walked == {max(size for size in sizes if size <= fp._BLOCK)}
         for size in sizes:
+            # a whole sweep's many small blocks are walked in its shards
             if span // size > 1 << 12:
-                continue    # 3^9 blocks of one matrix; its shards are walked
+                continue
             for start in range(0, span, size):
                 idx = first + stride * np.arange(start, start + size)
-                blocks.append((idx, fp._counter_planes(int(idx[0]), size,
-                                                       n * n, p, stride)))
-        for idx, planes in blocks:
-            want = _planes(digit_block(idx, n * n, p), p)
-            assert planes.dtype == want.dtype
-            assert np.array_equal(planes, want), (shard, idx.size, idx[0])
+                check(idx, digit_block(idx, n * n, p, stride))
+
+
+@pytest.mark.parametrize("n, p", [(2, 263), (2, 4099), (4, 1031)])
+def test_sampled_counter_planes_above_p3_match_the_digit_planes(n, p):
+    # sampled blocks of whole sweeps and shards: at p = 263 the pattern's
+    # digits pass uint8, and at 4099 (n = 2) and 1031 (n = 4) a block is
+    # one matrix, so every digit is fixed; counter values stay in int64
+    field, rng = fp._field(p), random.Random(p)
+    words = fp._BLOCK * 64 // (n * n * field.bits)
+    size = max(p ** k for k in range(n * n + 1)
+               if p ** k <= min(fp._BLOCK, words))
+    assert size == (263 if p == 263 else 1)
+    for shard in (None, 0, 1, p ** n - 1):
+        first, stride = (0, 1) if shard is None else (shard, p ** n)
+        span = min(p ** (n * n), 1 << 62) // stride
+        for _ in range(20):
+            start = rng.randrange(span // size) * size
+            idx = first + stride * np.arange(start, start + size,
+                                             dtype=np.int64)
+            want = field.encode(_digits(idx, n * n, p))
+            got = fp._digit_block(idx, n * n, p, stride)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (shard, start)
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,7 +471,7 @@ def test_small_sweeps_match_the_int_kernels(p, data):
     kind = data.draw(kinds())
     n = table.dim
     idx = np.arange(p ** (n * n), dtype=np.int64)
-    digits = fp._digit_block(idx, n * n, p)
+    digits = _digits(idx, n * n, p)
     cs = compile_system(table, kind, p)
     want = idx[_compiled_mask_int(cs, digits)].tolist()
     assert want == idx[_direct_mask_int(_form(table, kind, p), kind,
@@ -615,7 +645,7 @@ def test_compiled_width_guard_is_tight_and_sufficient(no_sweep):
     for kind in _edge_kinds():
         cs = compile_system(_edge_table(), kind, _EDGE)
         want = _compiled_mask_int(cs, digits, object)
-        got = fp._compiled_mask(cs, _planes(digits, _EDGE))
+        got = fp._compiled_mask(cs, fp._field(_EDGE).encode(digits))
         assert got.tolist() == want.tolist()
         assert 0 < want.sum() < len(digits)
 
@@ -628,7 +658,7 @@ def test_direct_width_guard_is_tight_and_sufficient(no_sweep):
     for kind in _edge_kinds():
         form = _form(_edge_table(), kind, _EDGE)
         want = _direct_mask_int(form, kind, digits.astype(object), object)
-        got = fp._direct_mask(form, kind, _planes(digits, _EDGE))
+        got = fp._direct_mask(form, kind, fp._field(_EDGE).encode(digits))
         assert got.tolist() == want.tolist()
         assert 0 < want.sum() < len(digits)
 
