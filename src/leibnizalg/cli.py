@@ -42,11 +42,11 @@ from .compat import (
 from .exact import ExactError, ExprSyntaxError, parse_expr
 from .fp import (
     DEFAULT_BUDGET,
-    FpMatrix,
     RefusedSize,
     _check_prime,
     bind_family,
     coverage,
+    matrix_rows,
     sweep_kernel,
     sweep_shard,
 )
@@ -380,23 +380,22 @@ def _sweep(args):
     return source, params, table, kind, p, np.sort(np.concatenate(parts))
 
 
-def _matrix_rows(M: FpMatrix) -> str:
-    return "; ".join(" ".join(str(x) for x in row) for row in M.entries)
+def _matrix_rows(rows: list) -> str:
+    return "; ".join(" ".join(str(x) for x in row) for row in rows)
 
 
 def cmd_enumerate(args) -> int:
     _, _, table, kind, p, sols = _sweep(args)
     n = table.dim
-    shown = [(m, FpMatrix.from_index(m, n, p))
+    shown = [{"index": m, "entries": matrix_rows(m, n, p)}
              for m in sols[:args.limit or None].tolist()]
     payload = {"algebra": table.name, "kind": kind.name, "p": p,
                "total": p ** (n * n), "count": int(sols.size),
-               "solutions": [{"index": m, "entries": M.as_lists()}
-                             for m, M in shown],
-               "shown": len(shown)}
+               "solutions": shown, "shown": len(shown)}
     lines = [f"{table.name} {kind.name} over F_{p}: "
              f"{sols.size} solutions among {p ** (n * n)} matrices"]
-    lines.extend(f"  #{m}: {_matrix_rows(M)}" for m, M in shown)
+    lines.extend(f"  #{s['index']}: {_matrix_rows(s['entries'])}"
+                 for s in shown)
     if len(shown) < sols.size:
         lines.append(f"  ... {sols.size - len(shown)} more "
                      f"(raise --limit to see them)")
@@ -408,14 +407,8 @@ def cmd_coverage(args) -> int:
     source, params, table, kind, p, sols = _sweep(args)
     fams = [f for f in _families_for(args, kind.name)
             if f.algebra == table.name and not f.malformed]
-    verified = []
-    for f in fams:
-        try:
-            holds = verify_family(source, f).holds
-        except ExactError:
-            continue
-        if holds:
-            verified.append(bind_family(f, params))
+    verified = [bind_family(f, params) for f in fams
+                if verify_family(source, f).holds]
     rep = coverage(table, kind, p, verified, solutions=sols,
                    budget=args.budget, cap=args.cap)
     payload = rep.as_dict()
@@ -427,8 +420,8 @@ def cmd_coverage(args) -> int:
         lines.append(f"  {used['family']}: {used['points']} points")
     for skip in rep.families_skipped:
         lines.append(f"  skipped {skip['family']}: {skip['reason']}")
-    for M in rep.uncovered:
-        lines.append(f"  uncovered #{M.index()}: {_matrix_rows(M)}")
+    lines.extend(f"  uncovered #{u['index']}: {_matrix_rows(u['entries'])}"
+                 for u in payload["uncovered"])
     if rep.total_solutions - rep.covered > len(rep.uncovered):
         lines.append(f"  ... uncovered list capped at {rep.cap}")
     _emit(args, payload, lines)

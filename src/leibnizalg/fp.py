@@ -7,6 +7,11 @@ charts measures how much of the solution set the charts explain.  Finite
 field coverage is evidence, not proof: a chart that covers everything mod p
 can still miss characteristic-0 solutions, and vice versa.
 
+A matrix over F_p is its counter value throughout: the int whose base-p
+digit r*n + c (little-endian) is entry (r, c).  Sweeps return arrays of
+them, charts evaluate to them, membership takes one and coverage lists
+them.  matrix_rows decodes one into rows, for output only.
+
 Two independent evaluation paths are kept deliberately:
 
   * "compiled": the symbolic equation system is compiled to coefficient
@@ -94,8 +99,7 @@ from .exact import (
     Scalar,
     reduce_mod_p,
 )
-from .operators import OperatorFamily, OperatorKind, build_system, \
-    operator_residual
+from .operators import OperatorFamily, OperatorKind, build_system
 
 #: sweeps and membership fallbacks refuse to run past this many cases unless
 #: the caller raises the budget explicitly (2^16 admits the full p=2 sweep
@@ -154,40 +158,17 @@ def _check_prime(p: int):
         raise ValueError(f"{p!r} is not a prime")
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """An n x n matrix over F_p with entries reduced to [0, p)."""
-
-    p: int
-    entries: tuple  # tuple of row tuples of ints
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        n = len(self.entries)
-        ok = all(isinstance(row, tuple) and len(row) == n
-                 and all(isinstance(x, int) and 0 <= x < self.p for x in row)
-                 for row in self.entries)
-        if not ok:
-            raise ValueError("entries must be square with values in [0, p)")
-
-    @staticmethod
-    def from_index(m: int, n: int, p: int) -> "FpMatrix":
-        """Decode a counter value; digit r*n+c (little-endian) is entry (r,c)."""
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                row.append((m // p ** (r * n + c)) % p)
-            rows.append(tuple(row))
-        return FpMatrix(p, tuple(rows))
-
-    def index(self) -> int:
-        n = len(self.entries)
-        return sum(self.entries[r][c] * self.p ** (r * n + c)
-                   for r in range(n) for c in range(n))
-
-    def as_lists(self):
-        return [list(row) for row in self.entries]
+def matrix_rows(m: int, n: int, p: int) -> list:
+    """The rows of the n x n matrix over F_p whose counter value is m:
+    digit r*n + c (little-endian, base p) is entry (r, c)."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            m, x = divmod(m, p)
+            row.append(x)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +587,10 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     their values below p, reduced after every operation, and the largest
     value either holds before reducing is a product of two of them,
     (p - 1)^2, which must fit int64; at p <= 3 a value is bit planes and
-    the rule holds trivially.  The kernel maps a block's planes
+    the rule holds trivially.  sweep_shard holds counter values in int64,
+    so the largest, p^(n*n) - 1, must fit too: in dimension 4 that admits
+    p = 13 and refuses p >= 17, and only in dimension 1 does the first
+    rule decide.  The kernel maps a block's planes
     (_digit_block) to the mask of its solutions.  It is a partial of a
     module-level mask function, so it pickles: a process pool sends this
     one kernel to every shard job.
@@ -633,6 +617,10 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
         raise RefusedSize(
             f"the {path} kernel over F_{p} can reach {worst} before reducing "
             f"mod p, past the int64 limit {limit}; use a smaller prime")
+    if total - 1 > limit:
+        raise RefusedSize(
+            f"the counter values of {p}^{n * n} matrices reach {total - 1}, "
+            f"past the int64 limit {limit}; use a smaller prime")
     if path == "compiled":
         return partial(_compiled_mask, compile_system(table, kind, p))
     return partial(_direct_mask, _direct_form(table, w, p), kind)
@@ -692,28 +680,6 @@ def sweep_shard(evaluate, n: int, p: int,
     return np.concatenate(hits)
 
 
-def lift_check(table: AlgebraTable, kind: OperatorKind, p: int, indices, *,
-               samples: int = 100, seed: int = 0) -> dict:
-    """Lift sampled solutions to integer matrices and recheck over Q.
-
-    The lifted residual, reduced mod p, must vanish; this validates the
-    sweep through exact arithmetic instead of array arithmetic.
-    """
-    pool = [int(m) for m in indices]
-    rng = random.Random(seed)
-    picked = pool if len(pool) <= samples else sorted(rng.sample(pool, samples))
-    n = table.dim
-    for m in picked:
-        M = FpMatrix.from_index(m, n, p)
-        T = [[RatExpr.const(M.entries[r][c]) for c in range(n)]
-             for r in range(n)]
-        res = operator_residual(table, kind, T)
-        if any(reduce_mod_p(e, p) != 0 for _, e in res.walk()):
-            return {"ok": False, "checked": len(picked),
-                    "counterexample": m}
-    return {"ok": True, "checked": len(picked), "counterexample": None}
-
-
 # ---------------------------------------------------------------------------
 # chart membership
 
@@ -741,9 +707,11 @@ class _ChartForm:
     slots of fam.free, and the expression is
     (num / num_scale) / (den / den_scale) with positive scales; den is
     None when the denominator is 1.  entries holds (p^(r*n+c), expression)
-    for the nonzero entries in row-major order.  read_off holds (r, c,
-    slot, inverse of the scale mod p) for the first entry in which each
-    parameter stands alone with a coefficient that is a unit mod p.
+    for the nonzero entries in row-major order.  read_off holds
+    (p^(r*n+c), slot, inverse of the scale mod p) for the first entry
+    (r, c) in which each parameter stands alone with a coefficient that is
+    a unit mod p, so that the parameter is read off a counter value m as
+    m // p^(r*n+c) % p times the inverse.
     """
 
     p: int
@@ -795,7 +763,8 @@ def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
                 continue
             seen.add(mono[0][0])
             scale = f.numerator * pow(f.denominator, -1, p)
-            read_off.append((r, c, slots[mono[0][0]], pow(scale, -1, p)))
+            read_off.append((p ** (r * n + c), slots[mono[0][0]],
+                             pow(scale, -1, p)))
     constraints = tuple(_int_expr(con, slots, label)
                         for con in fam.constraints)
     return _ChartForm(p, constraints, tuple(entries), tuple(read_off))
@@ -898,22 +867,27 @@ def _chart_points(fam: OperatorFamily, p: int, *,
         yield _eval_chart(form, values)
 
 
-def chart_membership(fam: OperatorFamily, M: FpMatrix, *,
+def chart_membership(fam: OperatorFamily, m: int, p: int, *,
                      budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether some admissible F_p assignment of the chart evaluates to M.
+    """Whether some admissible F_p assignment of the chart evaluates to the
+    matrix with counter value m.
 
-    Parameters standing alone in an entry are read off first; any that
+    Parameters standing alone in an entry are read off m first; any that
     remain are searched exhaustively (p^k cases, refused past the budget).
     Assignments violating a constraint or killing a denominator never count.
+    p must be a supported prime and m an int in [0, p^(n*n)) for the
+    chart's n; anything else raises ValueError.
     """
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
-    if len(fam.chart) != len(M.entries):
-        raise ValueError("chart and matrix dimensions differ")
-    p = M.p
-    forced = {slot: M.entries[r][c] * inv % p
-              for r, c, slot, inv in _chart_form(fam, p).read_off}
-    return M.index() in _chart_points(
+    _check_prime(p)
+    n = len(fam.chart)
+    if not isinstance(m, int) or not 0 <= m < p ** (n * n):
+        raise ValueError(f"{m!r} is not the counter value of a matrix over "
+                         f"F_{p} of the chart's size {n} x {n}")
+    forced = {slot: m // weight % p * inv % p
+              for weight, slot, inv in _chart_form(fam, p).read_off}
+    return m in _chart_points(
         fam, p, forced=forced, budget=budget,
         refusal="membership fallback needs {p}^{k} cases for {label}, "
                 "over the budget {budget}")
@@ -949,8 +923,7 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
         m = next(points)
         if m is None:
             continue
-        M = FpMatrix.from_index(m, len(fam.chart), p)
-        if not chart_membership(fam, M, budget=budget):
+        if not chart_membership(fam, m, p, budget=budget):
             return {"family": fam.label(), "checked": checked, "ok": False,
                     "counterexample": m}
         checked += 1
@@ -963,12 +936,17 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
 
 @dataclass
 class CoverageReport:
+    """What coverage found.  Every matrix in it is a counter value over
+    F_p; dim is the table's dimension, which as_dict needs to print the
+    uncovered ones' entries."""
+
     algebra: str
     kind: str
     p: int
+    dim: int
     total_solutions: int
     covered: int
-    uncovered: list            # FpMatrix, truncated to cap
+    uncovered: list            # counter values, ascending, truncated to cap
     cap: int
     families_used: list        # {"family": label, "points": count}
     families_skipped: list     # {"family": label, "reason": exc name}
@@ -982,8 +960,9 @@ class CoverageReport:
             "p": self.p,
             "total": self.total_solutions,
             "covered": self.covered,
-            "uncovered": [{"index": M.index(), "entries": M.as_lists()}
-                          for M in self.uncovered],
+            "uncovered": [{"index": m,
+                           "entries": matrix_rows(m, self.dim, self.p)}
+                          for m in self.uncovered],
             "cap": self.cap,
             "families_used": self.families_used,
             "families_skipped": self.families_skipped,
@@ -1031,10 +1010,10 @@ def coverage(table: AlgebraTable, kind: OperatorKind, p: int, families, *,
         algebra=table.name,
         kind=kind.name,
         p=p,
+        dim=table.dim,
         total_solutions=int(sols.size),
         covered=len(covered_points),
-        uncovered=[FpMatrix.from_index(m, table.dim, p)
-                   for m in uncovered[:cap]],
+        uncovered=uncovered[:cap],
         cap=cap,
         families_used=used,
         families_skipped=skipped,

@@ -339,6 +339,17 @@ def test_enumerate_refuses_prime_past_kernel_width(capsys, monkeypatch,
     assert "refused" in err and dtype in err
 
 
+def test_enumerate_refuses_counters_past_int64_before_any_work(capsys,
+                                                              monkeypatch):
+    # 1009^16 matrices are within this budget, and 1008^2 fits int64, but
+    # the counter values past 2^63 do not
+    _no_work(monkeypatch)
+    code, out, err = run(capsys, "enumerate", "L1", "--op", "reynolds",
+                         "--field", "1009", "--budget", str(1009 ** 16))
+    assert code == 2 and out == ""
+    assert "refused" in err and "counter values" in err
+
+
 def test_sharded_enumerate_refuses_before_starting_workers(capsys,
                                                           monkeypatch):
     # both sweeps lie past DEFAULT_BUDGET, so on two CPUs they would run
@@ -504,6 +515,24 @@ def test_coverage_reports_charts(capsys):
     assert payload["covered"] == 64
     assert payload["chart_points_outside"] == 0
     assert payload["families_used"][0]["points"] == 64
+
+
+def test_coverage_refuses_a_family_that_verify_refuses(capsys, tmp_path):
+    # an identically zero constraint makes verify_family raise; coverage
+    # exits 2 with that error as verify does, instead of dropping the family
+    data = _two_dim_catalog(tmp_path)
+    (tmp_path / "families").mkdir()
+    (tmp_path / "families" / "nijenhuis.json").write_text(json.dumps(
+        [{"algebra": "T2", "kind": "nijenhuis", "index": 1,
+          "chart": [["k11", "0"], ["0", "k11"]], "free": ["k11"],
+          "constraints": ["0"]}]))
+    want = "identically zero constraint"
+    code, out, err = run(capsys, "verify", "--kind", "nijenhuis",
+                         "--data-dir", data)
+    assert code == 2 and out == "" and want in err
+    code, out, err = run(capsys, "coverage", "T2", "--op", "nijenhuis",
+                         "--param", "mu=1", "--data-dir", data)
+    assert code == 2 and out == "" and want in err
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,13 @@ from leibnizalg.exact import (
 )
 from leibnizalg.fp import (
     CoverageReport,
-    FpMatrix,
     RefusedSize,
     bind_family,
     chart_membership,
     compile_system,
     coverage,
     family_solution_set,
-    lift_check,
+    matrix_rows,
     roundtrip_check,
     solution_indices,
     sweep_kernel,
@@ -49,6 +48,7 @@ from leibnizalg.operators import (
     OperatorFamily,
     load_families,
     make_kind,
+    operator_residual,
     verify_family,
 )
 
@@ -73,35 +73,32 @@ def l1_nij_solutions(cmap):
     return solution_indices(cmap["L1"], make_kind("nijenhuis"), 2)
 
 
+#: the counter value of the 4 x 4 identity over F_2
+_IDENT = sum(2 ** (r * 4 + r) for r in range(4))
+
+
 # ---------------------------------------------------------------------------
-# FpMatrix
+# counter values
 
-def test_fpmatrix_little_endian_layout():
-    m = FpMatrix.from_index(1, 4, 2)
-    assert m.entries[0][0] == 1
-    assert sum(sum(row) for row in m.entries) == 1
-    m = FpMatrix.from_index(2, 4, 2)
-    assert m.entries[0][1] == 1
+def test_matrix_rows_little_endian_layout():
+    assert matrix_rows(1, 4, 2) == [[1, 0, 0, 0]] + [[0] * 4] * 3
+    assert matrix_rows(2, 4, 2)[0] == [0, 1, 0, 0]
     # digit t = r*n + c: index p^4 flips entry (1, 0)
-    m = FpMatrix.from_index(2 ** 4, 4, 2)
-    assert m.entries[1][0] == 1
-
-
-def test_fpmatrix_validation():
-    with pytest.raises(ValueError):
-        FpMatrix(4, ((0,),))          # not a prime
-    with pytest.raises(ValueError):
-        FpMatrix(2, ((0, 2), (0, 1)))  # entry out of range
-    with pytest.raises(ValueError):
-        FpMatrix(2, ((0, 1),))         # not square
+    assert matrix_rows(2 ** 4, 4, 2)[1] == [1, 0, 0, 0]
+    assert matrix_rows(_IDENT, 4, 2) == [[int(r == c) for c in range(4)]
+                                         for r in range(4)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=3 ** 16 - 1),
-       st.sampled_from([2, 3]))
-def test_fpmatrix_index_roundtrip(m, p):
-    m = m % p ** 16
-    assert FpMatrix.from_index(m, 4, p).index() == m
+@given(st.data(), st.sampled_from([2, 3, 5, 17]), st.sampled_from([1, 2, 4]))
+def test_matrix_rows_inverts_the_counter_weights(data, p, n):
+    # counter values as sweeps hold them, in int64
+    m = data.draw(st.integers(0, min(p ** (n * n), 2 ** 63) - 1))
+    rows = matrix_rows(m, n, p)
+    assert [len(row) for row in rows] == [n] * n
+    assert sum(x * p ** (r * n + c) for r, row in enumerate(rows)
+               for c, x in enumerate(row)) == m
+    assert sum(rows, []) == _digits(np.array([m]), n * n, p)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +107,11 @@ def test_fpmatrix_index_roundtrip(m, p):
 def test_solution_set_contains_trivial_operators(cmap, l1_nij_solutions):
     sols = set(l1_nij_solutions.tolist())
     assert 0 in sols                                     # zero matrix
-    ident = FpMatrix(2, tuple(tuple(int(r == c) for c in range(4))
-                              for r in range(4)))
-    assert ident.index() in sols                         # identity map
+    assert _IDENT in sols                                # identity map
     # identity is not a weight-0 solution on L1
     rb = set(solution_indices(cmap["L1"], make_kind("rota-baxter"),
                               2).tolist())
-    assert 0 in rb and ident.index() not in rb
+    assert 0 in rb and _IDENT not in rb
 
 
 def test_solution_indices_sorted_and_deterministic(cmap, l1_nij_solutions):
@@ -600,15 +595,31 @@ def test_width_guard_refuses_overflowing_primes(cmap, no_sweep):
                              path=path)
 
 
+def test_counter_guard_refuses_primes_past_int64_counters(cmap, no_sweep):
+    # the largest counter value p^(n*n) - 1 fits int64 at the first prime
+    # of each pair and not at the second: 13 and 17 in dimension 4, and
+    # the primes on either side of 2^(63/4) in dimension 2; the budget
+    # alone would admit every one of these sweeps
+    kind = make_kind("reynolds")
+    for table, p, q in ((cmap["L1"], 13, 17), (_edge_table(2), 55103, 55109)):
+        n2 = table.dim ** 2
+        assert p ** n2 <= 2 ** 63 < q ** n2
+        for path in ("compiled", "direct"):
+            with pytest.raises(AssertionError, match="the sweep started"):
+                solution_indices(table, kind, p, budget=p ** n2, path=path)
+            with pytest.raises(RefusedSize, match="counter values .* int64"):
+                solution_indices(table, kind, q, budget=q ** n2, path=path)
+
+
 #: 3037000493 is the largest prime whose (p - 1)^2 fits int64
 _EDGE, _PAST_EDGE = 3037000493, 3037000507
 
 
-def _edge_table():
-    """A dimension 2 table with every structure constant at p - 1."""
-    return AlgebraTable("top", 2, [[[RatExpr.const(_EDGE - 1)
-                                     for _ in range(2)] for _ in range(2)]
-                                   for _ in range(2)])
+def _edge_table(n=2):
+    """A dimension n table with every structure constant at p - 1."""
+    return AlgebraTable("top", n, [[[RatExpr.const(_EDGE - 1)
+                                     for _ in range(n)] for _ in range(n)]
+                                   for _ in range(n)])
 
 
 def _edge_digits():
@@ -628,13 +639,15 @@ def _edge_kinds():
 
 
 def _assert_width_guard_is_tight(path):
+    # in dimension 1 only, where p^(n*n) - 1 fits int64 at both primes, so
+    # that the counter guard does not decide first
     p, q = _EDGE, _PAST_EDGE
     assert (p - 1) ** 2 <= np.iinfo(np.int64).max < (q - 1) ** 2
-    table, kind = _edge_table(), make_kind("nijenhuis")
+    table, kind = _edge_table(1), make_kind("nijenhuis")
     with pytest.raises(AssertionError, match="the sweep started"):
-        solution_indices(table, kind, p, budget=p ** 4, path=path)
-    with pytest.raises(RefusedSize, match="int64"):
-        solution_indices(table, kind, q, budget=q ** 4, path=path)
+        solution_indices(table, kind, p, budget=p, path=path)
+    with pytest.raises(RefusedSize, match="before reducing"):
+        solution_indices(table, kind, q, budget=q, path=path)
 
 
 def test_compiled_width_guard_is_tight_and_sufficient(no_sweep):
@@ -683,6 +696,23 @@ def test_primality_check_is_fast_and_exact():
 # ---------------------------------------------------------------------------
 # lifted soundness
 
+def lift_check(table, kind, p, indices, *, samples=100, seed=0):
+    """The reference that sweeps are checked against through exact
+    arithmetic: lift sampled solutions to integer matrices, and the
+    operator residual over Q, reduced mod p, must vanish at each."""
+    pool = [int(m) for m in indices]
+    rng = random.Random(seed)
+    picked = pool if len(pool) <= samples else sorted(rng.sample(pool, samples))
+    n = table.dim
+    for m in picked:
+        T = [[RatExpr.const(x) for x in row] for row in matrix_rows(m, n, p)]
+        res = operator_residual(table, kind, T)
+        if any(reduce_mod_p(e, p) != 0 for _, e in res.walk()):
+            return {"ok": False, "checked": len(picked),
+                    "counterexample": m}
+    return {"ok": True, "checked": len(picked), "counterexample": None}
+
+
 def test_lift_check_confirms_solutions(cmap, l1_nij_solutions):
     out = lift_check(cmap["L1"], make_kind("nijenhuis"), 2,
                      l1_nij_solutions.tolist(), samples=40)
@@ -690,10 +720,8 @@ def test_lift_check_confirms_solutions(cmap, l1_nij_solutions):
 
 
 def test_lift_check_flags_non_solutions(cmap):
-    ident = FpMatrix(2, tuple(tuple(int(r == c) for c in range(4))
-                              for r in range(4))).index()
-    out = lift_check(cmap["L1"], make_kind("rota-baxter"), 2, [ident])
-    assert not out["ok"] and out["counterexample"] == ident
+    out = lift_check(cmap["L1"], make_kind("rota-baxter"), 2, [_IDENT])
+    assert not out["ok"] and out["counterexample"] == _IDENT
 
 
 # ---------------------------------------------------------------------------
@@ -703,18 +731,15 @@ def test_membership_respects_fixed_zero_entries(cmap, family_index):
     # first chart keeps entry (1,1) at zero, so no point has it nonzero
     fam = family_index[("L1", "rota-baxter", 1)]
     assert fam.chart[0][0].is_zero
-    m_bad = FpMatrix.from_index(1, 4, 2)     # lone 1 in entry (1,1)
-    assert chart_membership(fam, m_bad) is False
-    zero = FpMatrix.from_index(0, 4, 2)
-    assert chart_membership(fam, zero) is True
+    assert chart_membership(fam, 1, 2) is False     # lone 1 in entry (1,1)
+    assert chart_membership(fam, 0, 2) is True
 
 
 def test_membership_enforces_denominator_constraint(cmap, family_index):
     # the third chart divides by r32, so over F_2 membership forces r32 = 1
     fam = family_index[("L1", "rota-baxter", 3)]
     assert any(str(c) == "r32" for c in fam.constraints)
-    zero = FpMatrix.from_index(0, 4, 2)
-    assert chart_membership(fam, zero) is False
+    assert chart_membership(fam, 0, 2) is False
     points = family_solution_set(fam, 2)
     assert points, "chart reaches no F_2 point at all?"
     n = 4
@@ -730,19 +755,24 @@ def test_membership_budget_refusal():
     chart = [[parse_expr(e) for e in row] for row in rows]
     fam = OperatorFamily("L1", "nijenhuis", 99, chart,
                          ("k11", "k22", "k33"), (), False)
-    zero = FpMatrix.from_index(0, 4, 2)
     with pytest.raises(RefusedSize):
-        chart_membership(fam, zero, budget=4)
-    assert chart_membership(fam, zero, budget=8) is True
+        chart_membership(fam, 0, 2, budget=4)
+    assert chart_membership(fam, 0, 2, budget=8) is True
 
 
 def test_membership_rejects_malformed_and_size_mismatch(family_index):
     fam = family_index[("L1", "rota-baxter", 5)]
-    with pytest.raises(ValueError):
-        chart_membership(fam, FpMatrix.from_index(0, 4, 2))
+    with pytest.raises(ValueError, match="malformed"):
+        chart_membership(fam, 0, 2)
     good = family_index[("L1", "rota-baxter", 1)]
-    with pytest.raises(ValueError):
-        chart_membership(good, FpMatrix.from_index(0, 2, 2))
+    with pytest.raises(ValueError, match="not a prime"):
+        chart_membership(good, 0, 4)
+    # a counter value must be an int of a 4 x 4 matrix, in [0, p^16)
+    for m, p in ((-1, 2), (2 ** 16, 2), (3 ** 16, 3), (0.0, 2)):
+        with pytest.raises(ValueError, match="not the counter value"):
+            chart_membership(good, m, p)
+    # the largest is admitted; entry (1,1) is 0 on this chart
+    assert chart_membership(good, 2 ** 16 - 1, 2) is False
 
 
 def test_bind_family_substitutes_and_drops_parameter():
@@ -912,14 +942,12 @@ def test_l1_charts_match_exact_reference(family_index, p):
         assert family_solution_set(fam, p) == want, fam.label()
         n = len(fam.chart)
         for m in rng.sample(sorted(want), min(len(want), 12)):
-            M = FpMatrix.from_index(m, n, p)
-            assert chart_membership(fam, M), (fam.label(), m)
-            rows = [list(row) for row in M.entries]
-            r, c = rng.randrange(n), rng.randrange(n)
-            rows[r][c] = (rows[r][c] + 1) % p
-            near = FpMatrix(p, tuple(map(tuple, rows)))
-            assert chart_membership(fam, near) == (near.index() in want), \
-                (fam.label(), near.index())
+            assert chart_membership(fam, m, p), (fam.label(), m)
+            # one digit of m, one entry of its matrix, moved by 1 mod p
+            weight = p ** rng.randrange(n * n)
+            near = m + weight * ((m // weight + 1) % p - m // weight % p)
+            assert chart_membership(fam, near, p) == (near in want), \
+                (fam.label(), near)
 
 
 def test_denominator_divisible_by_p_that_cancels_is_admissible():
@@ -972,8 +1000,11 @@ def test_bound_family_compiles_its_own_chart():
     assert family_solution_set(fam, 3) == _oracle_points(fam, 3)
     bound = bind_family(fam, {"mu": 2})
     assert bound._chart_forms == {}
-    assert family_solution_set(bound, 3) == _oracle_points(bound, 3) \
-        == {0, 2 + 2 * 27, 1 + 27}
+    points = family_solution_set(bound, 3)
+    assert points == _oracle_points(bound, 3) == {0, 2 + 2 * 27, 1 + 27}
+    # b11 is read off entry (1,1), 2*b11, through the inverse of 2 mod 3
+    assert [m for m in range(3 ** 4) if chart_membership(bound, m, 3)] \
+        == sorted(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1036,13 @@ def test_coverage_report_structure(cmap, families, l1_nij_solutions):
     assert rep.families_used
     d = rep.as_dict()
     assert d["total"] == 128 and d["note"]
+    # uncovered solutions are counter values, ascending, decoded only in
+    # the dict
+    sols = set(l1_nij_solutions.tolist())
+    assert all(type(m) is int and m in sols for m in rep.uncovered)
+    assert rep.uncovered == sorted(rep.uncovered)
+    assert d["uncovered"] == [{"index": m, "entries": matrix_rows(m, 4, 2)}
+                              for m in rep.uncovered]
 
 
 def test_coverage_is_order_invariant_and_deterministic(cmap, families):
@@ -1015,7 +1053,7 @@ def test_coverage_is_order_invariant_and_deterministic(cmap, families):
     b = coverage(cmap["L17"], kind, 2, fams[::-1], solutions=sols)
     assert a.covered == b.covered
     assert a.total_solutions == b.total_solutions
-    assert {m.index() for m in a.uncovered} == {m.index() for m in b.uncovered}
+    assert a.uncovered == b.uncovered
     again = coverage(cmap["L17"], kind, 2, fams, solutions=sols)
     assert again.as_dict() == a.as_dict()
 
