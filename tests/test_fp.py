@@ -764,6 +764,14 @@ def test_membership_rejects_malformed_and_size_mismatch(family_index):
     fam = family_index[("L1", "rota-baxter", 5)]
     with pytest.raises(ValueError, match="malformed"):
         chart_membership(fam, 0, 2)
+    # a counter value past p^16 holds more digits than a 4 x 4 matrix
+    good = family_index[("L1", "rota-baxter", 1)]
+    with pytest.raises(ValueError, match="not the counter value"):
+        chart_membership(good, 2 ** 16, 2)
+
+
+def test_membership_validates_the_counter_value(family_index):
+    # the checks the old validated-rows form made, now on the counter value
     good = family_index[("L1", "rota-baxter", 1)]
     with pytest.raises(ValueError, match="not a prime"):
         chart_membership(good, 0, 4)
