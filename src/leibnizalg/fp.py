@@ -65,16 +65,23 @@ exactly by bind_family, so every name still free in a chart is an operator
 parameter that runs over F_p or is read off a matrix.
 
 Charts are evaluated with plain Python ints.  On first use at a prime p, a
-family's chart is compiled once: the numerator and denominator of every
-constraint and nonzero entry become Gaussian-integer terms over the free
-names with a positive common-denominator scale, every entry carries its
-counter weight p^(r*n+c), and the entries a parameter stands alone in are
-noted for reading that parameter off a matrix.  The compiled form is kept
-on the family, one per prime.  At a point the value a/b (b > 0) is decided
-over Q exactly as RatExpr.substitute and reduce_mod_p decide it: a vanishing
-denominator or a denominator that p still divides in lowest terms puts the
-point outside the chart, and a nonzero imaginary part raises NonRealValue.
-Ints are unbounded, so no width guard is needed at any prime.
+family's chart is compiled once and kept on the family, one form per prime.
+Most entries of the shipped charts are c*x: one free name to the first
+power times a constant, with no denominator.  When c is real and p does not
+divide its denominator, such an entry is always admissible and real, so it
+compiles to the triple (p^(r*n+c), c mod p, slot) and adds its digit
+c * x mod p at a point.  Every other entry, and every constraint, keeps the
+exact form: its numerator and denominator become Gaussian-integer terms
+over the free names with a positive common-denominator scale, and at a
+point the value a/b (b > 0) is decided over Q exactly as RatExpr.substitute
+and reduce_mod_p decide it: a vanishing denominator or a denominator that p
+still divides in lowest terms puts the point outside the chart, and a
+nonzero imaginary part raises NonRealValue.  The exact part is checked
+first, constraints then entries in row-major order, so the first
+inadmissible value still decides a point; the triples, which cannot fail,
+are summed after it.  The entries a parameter stands alone in with a unit
+coefficient are noted for reading that parameter off a matrix.  Ints are
+unbounded, so no width guard is needed at any prime.
 """
 
 from __future__ import annotations
@@ -702,21 +709,25 @@ def bind_family(fam: OperatorFamily, bindings: dict) -> OperatorFamily:
 class _ChartForm:
     """A chart compiled for evaluation over F_p with plain ints.
 
-    Each expression is (num, num_scale, den, den_scale): num and den are
-    tuples of Gaussian-integer terms (re, im, ((slot, exp), ...)) over the
-    slots of fam.free, and the expression is
-    (num / num_scale) / (den / den_scale) with positive scales; den is
-    None when the denominator is 1.  entries holds (p^(r*n+c), expression)
-    for the nonzero entries in row-major order.  read_off holds
-    (p^(r*n+c), slot, inverse of the scale mod p) for the first entry
-    (r, c) in which each parameter stands alone with a coefficient that is
-    a unit mod p, so that the parameter is read off a counter value m as
+    linear holds (p^(r*n+c), c mod p, slot) for each nonzero entry c*x in
+    row-major order: x = fam.free[slot] to the first power, c real with a
+    denominator prime to p, and no denominator.  Every other nonzero entry
+    is in exact, as (p^(r*n+c), expression) in row-major order, and every
+    constraint in constraints, as an expression.  An expression is
+    (num, num_scale, den, den_scale): num and den are tuples of
+    Gaussian-integer terms (re, im, ((slot, exp), ...)) over the slots of
+    fam.free, and the expression is (num / num_scale) / (den / den_scale)
+    with positive scales; den is None when the denominator is 1.  read_off
+    holds (p^(r*n+c), slot, inverse of c mod p) for the first entry of
+    linear in which each parameter stands with a coefficient that is a
+    unit mod p, so that the parameter is read off a counter value m as
     m // p^(r*n+c) % p times the inverse.
     """
 
     p: int
     constraints: tuple
-    entries: tuple
+    exact: tuple
+    linear: tuple
     read_off: tuple
 
 
@@ -746,28 +757,33 @@ def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
     label = fam.label()
     slots = {name: s for s, name in enumerate(fam.free)}
     n = len(fam.chart)
-    entries, read_off, seen = [], [], set()
+    exact, linear, read_off, seen = [], [], [], set()
     for r in range(n):
         for c in range(n):
             e = fam.chart[r][c]
             if e.is_zero:
                 continue
-            entries.append((p ** (r * n + c), _int_expr(e, slots, label)))
-            if not e.den.is_const or len(e.num.terms) != 1:
-                continue
-            (mono, coef), = e.num.terms.items()
-            if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] in seen:
+            weight = p ** (r * n + c)
+            lone = None
+            if e.den.is_const and len(e.num.terms) == 1:
+                (mono, coef), = e.num.terms.items()
+                if (len(mono) == 1 and mono[0][1] == 1
+                        and mono[0][0] in slots and not coef.im
+                        and coef.re.denominator % p):
+                    lone = mono[0][0]
+            if lone is None:
+                exact.append((weight, _int_expr(e, slots, label)))
                 continue
             f = coef.re
-            if coef.im or f.denominator % p == 0 or f.numerator % p == 0:
-                continue
-            seen.add(mono[0][0])
-            scale = f.numerator * pow(f.denominator, -1, p)
-            read_off.append((p ** (r * n + c), slots[mono[0][0]],
-                             pow(scale, -1, p)))
+            scale = f.numerator * pow(f.denominator, -1, p) % p
+            linear.append((weight, scale, slots[lone]))
+            if scale and lone not in seen:
+                seen.add(lone)
+                read_off.append((weight, slots[lone], pow(scale, -1, p)))
     constraints = tuple(_int_expr(con, slots, label)
                         for con in fam.constraints)
-    return _ChartForm(p, constraints, tuple(entries), tuple(read_off))
+    return _ChartForm(p, constraints, tuple(exact), tuple(linear),
+                      tuple(read_off))
 
 
 def _chart_form(fam: OperatorFamily, p: int) -> _ChartForm:
@@ -824,17 +840,25 @@ def _non_real(re: int, im: int, den: int, p: int) -> NonRealValue:
 
 def _eval_chart(form: _ChartForm, values):
     """Counter value of the chart at F_p slot values, or None if the point
-    is outside the chart's domain (a constraint or denominator dies)."""
+    is outside the chart's domain (a constraint or denominator dies).
+
+    The exact part decides the point: the constraints, then the exact
+    entries in row-major order, and the first value that has none, or a
+    constraint's that is 0, drops it.  The linear entries cannot drop a
+    point or raise, so they are summed last as weight * (c * x mod p).
+    """
     p = form.p
     for con in form.constraints:
         if not _expr_mod_p(con, values, p):
             return None
     m = 0
-    for weight, expr in form.entries:
+    for weight, expr in form.exact:
         v = _expr_mod_p(expr, values, p)
         if v is None:
             return None
         m += v * weight
+    for weight, c, slot in form.linear:
+        m += weight * (c * values[slot] % p)
     return m
 
 

@@ -10,6 +10,7 @@ tracer and the workloads by path and check them against the package.
 import importlib.util
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ import pytest
 import leibnizalg
 import leibnizalg.cli  # noqa: F401  (the tracer patches every module)
 from leibnizalg.algebra import AlgebraTable, catalog_map
-from leibnizalg.exact import RatExpr
-from leibnizalg.operators import make_kind
+from leibnizalg.exact import RatExpr, parse_expr
+from leibnizalg.operators import OperatorFamily, make_kind
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -137,3 +138,78 @@ def test_traced_sweeps_count_every_matrix(tracing, p):
     assert layers["fp.matrices_swept"] == 2 * p ** 4
     assert layers["fp.solutions_found"] == 2 * found[0].size
     assert layers["fp.compile_system.calls"] == 1
+
+
+def _counted_points(monkeypatch):
+    """Patch fp._eval_chart to record every value it returns."""
+    fp, seen = leibnizalg.fp, []
+    real = fp._eval_chart
+
+    def counted(form, values):
+        m = real(form, values)
+        seen.append(m)
+        return m
+
+    monkeypatch.setattr(fp, "_eval_chart", counted)
+    return seen
+
+
+def _search_chart():
+    # x stands alone and is read off; y and z are searched, and the points
+    # where x - y z + 1 vanishes are outside the chart
+    rows = [["x", "y*z"], ["1/(x - y*z + 1)", "0"]]
+    return OperatorFamily("T", "nijenhuis", 1,
+                          [[parse_expr(e) for e in row] for row in rows],
+                          ("x", "y", "z"), (), False)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chart_checks_evaluate_each_point_once(monkeypatch, p):
+    # the tracer's fp.eval_chart.calls counts chart points only while
+    # every point is one call of the module global fp._eval_chart
+    fam, fp = _search_chart(), leibnizalg.fp
+    seen = _counted_points(monkeypatch)
+    points = fp.family_solution_set(fam, p)
+    assert len(seen) == p ** 3 and set(seen) - {None} == points
+    # membership searches p^2 points, up to the first that is m
+    for m in sorted(points) + [p ** 4 - 1]:
+        seen.clear()
+        found = fp.chart_membership(fam, m, p)
+        assert found == (m in points)
+        assert len(seen) == (seen.index(m) + 1 if found else p ** 2)
+    # a round trip draws points and sends each admissible one to
+    # membership, which evaluates its own
+    real_membership, drawn, inside = fp.chart_membership, [], []
+
+    def membership(fam, m, p, **kwargs):
+        drawn.extend(seen)
+        seen.clear()
+        found = real_membership(fam, m, p, **kwargs)
+        inside.append(seen[:])
+        seen.clear()
+        return found
+
+    monkeypatch.setattr(fp, "chart_membership", membership)
+    seen.clear()
+    out = fp.roundtrip_check(fam, p, samples=10)
+    drawn.extend(seen)
+    assert out["ok"] and out["checked"] == 10
+    admissible = [m for m in drawn if m is not None]
+    assert len(admissible) == 10 and set(admissible) <= points
+    assert [calls[-1] for calls in inside] == admissible
+    assert all(calls.index(m) == len(calls) - 1
+               for calls, m in zip(inside, admissible))
+
+
+def test_traced_chart_points_are_counted(tracing):
+    tracer = tracing.Tracer()
+    tracer.install(leibnizalg)
+    try:
+        leibnizalg.fp.family_solution_set(_search_chart(), 3)
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer(0.0)
+    admissible = sum((x - y * z + 1) % 3 != 0
+                     for x, y, z in product(range(3), repeat=3))
+    assert layers["fp.eval_chart.calls"] == 27
+    assert layers["fp.eval_chart.admissible_ratio"] == admissible / 27
