@@ -17,21 +17,26 @@ nonzero vector, which already decides whether the identity holds and
 where it first fails; the rest is computed only for a reader that walks
 on.
 
-Catalog tables are sparse (a few nonzero constants out of dim^3), so the
-residuals are contractions over the nonzero constants only: a bracket
-with a basis vector, [e_a, v] or [u, e_b], runs over the table's nonzero
-entries with that first or second index (AlgebraTable.e_bracket and
-bracket_e).  Each coordinate is summed in ascending contracted index, the
-order of the dense bracket, so the unreduced text of every residual
-coordinate, and with it every witness, is the dense bracket's.  The
-operator matrix is contracted over its nonzero entries too
-(operators.operator_residual lists them per row once per call).
+Residual vectors are sparse: a dict {q: RatExpr} holding only the
+nonzero coordinates, so a vector that is mostly zero costs only its
+nonzero entries.  Catalog tables are sparse too (a few nonzero constants
+out of dim^3), and the residuals are contractions over the nonzero
+constants only: a bracket with a basis vector, [e_a, v] or [u, e_b], runs
+over the table's nonzero entries with that first or second index
+(AlgebraTable.e_bracket and bracket_e), and AlgebraTable.sparse_c holds
+each c[i][j] as such a vector.  Each coordinate is summed in ascending
+contracted index, the order of the dense bracket, so the unreduced text
+of every residual coordinate, and with it every witness, is the dense
+bracket's.  The operator matrix is contracted over its nonzero entries
+too (operators.operator_residual lists them per row once per call).
 
 The residuals' own sums, such as the three brackets of R above, add only
 their nonzero terms (signed_sum), and so do the contractions.  This rests
 on the zero-operand rule of exact.RatExpr (x + 0 and x - 0 are x, 0 - x
 is -x), by which the sparse sum returns the very objects of the dense
-one, in the same order and with the same signs.
+one, in the same order and with the same signs.  A ResidualTensor reads
+its sparse vectors back densely: walk and entries give RE_ZERO for every
+coordinate a vector leaves out, so labels and values are as dense.
 """
 
 from __future__ import annotations
@@ -104,18 +109,22 @@ class ParamSpec:
 class AlgebraTable:
     """An n-dimensional algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "c", "params", "_nonzero", "_left",
-                 "_right", "_leibniz", "_apart")
+    __slots__ = ("name", "dim", "c", "params", "sparse_c", "_nonzero",
+                 "_left", "_right", "_leibniz", "_apart")
 
     def __init__(self, name: str, dim: int, c, params=()):
         self.name = name
         self.dim = dim
         self.c = tuple(tuple(tuple(row) for row in plane) for plane in c)
         self.params = tuple(params)
+        # c[i][j] as a sparse vector {k: c[i][j][k]} of its nonzero constants
+        self.sparse_c = tuple(tuple({k: x for k, x in enumerate(row)
+                                     if x.num.terms} for row in plane)
+                              for plane in self.c)
         self._nonzero = tuple(
-            (i, j, k, self.c[i][j][k])
-            for i in range(dim) for j in range(dim) for k in range(dim)
-            if not self.c[i][j][k].is_zero
+            (i, j, k, val)
+            for i in range(dim) for j in range(dim)
+            for k, val in self.sparse_c[i][j].items()
         )
         # the nonzero entries by index: _left[a] holds (b, q, val) and
         # _right[b] holds (a, q, val) for [e_a, e_b] = ... + val e_q, both
@@ -142,63 +151,84 @@ class AlgebraTable:
             self._leibniz = leibniz_residual(self).is_zero
         return self._leibniz
 
-    def bracket(self, u, v):
-        """Bracket of two coefficient vectors (length-dim sequences of RatExpr)."""
-        out = [RE_ZERO] * self.dim
-        for i, j, k, val in self._nonzero:
-            ui = u[i]
-            vj = v[j]
-            if ui.num.terms and vj.num.terms:
-                s = out[k]
-                x = ui * vj * val
-                out[k] = x if s is RE_ZERO else s + x
+    def bracket(self, u: dict, v: dict) -> dict:
+        """Bracket of two sparse vectors; each coordinate k sums
+        u[i] * v[j] * c[i][j][k] in ascending (i, j)."""
+        out = {}
+        if u and v:
+            for i, j, k, val in self._nonzero:
+                ui = u.get(i)
+                if ui is not None:
+                    vj = v.get(j)
+                    if vj is not None:
+                        _add(out, k, ui * vj * val)
         return out
 
-    def e_bracket(self, a: int, v):
-        """[e_a, v] for a coefficient vector v; 0-based index."""
-        return _contract(self._left[a], v, self.dim)
+    def e_bracket(self, a: int, v: dict) -> dict:
+        """[e_a, v] for a sparse vector v; 0-based index."""
+        return _contract(self._left[a], v)
 
-    def bracket_e(self, u, b: int):
-        """[u, e_b] for a coefficient vector u; 0-based index."""
-        return _contract(self._right[b], u, self.dim)
+    def bracket_e(self, u: dict, b: int) -> dict:
+        """[u, e_b] for a sparse vector u; 0-based index."""
+        return _contract(self._right[b], u)
 
 
-def _contract(nonzero, vec, n: int):
-    """The vector sum of vec[t] * val e_q over (t, q, val) in nonzero.
+def _add(out: dict, q: int, x):
+    """out[q] += x for a nonzero x in a sparse vector: out[q] is x when the
+    coordinate is absent, and it is dropped when the sum cancels.  A
+    dropped coordinate stands for the zero the dense sum holds there,
+    whose next step 0 + x is x by the zero-operand rule, as here."""
+    s = out.get(q)
+    if s is None:
+        out[q] = x
+    else:
+        s = s + x
+        if s.num.terms:
+            out[q] = s
+        else:
+            del out[q]
+
+
+def _contract(nonzero, vec: dict) -> dict:
+    """The sparse vector sum of vec[t] * val e_q over (t, q, val) in
+    nonzero.
 
     Each coordinate is summed in ascending t, the order bracket takes, so
     the unreduced text of a sum is the same as bracket's with a unit vector.
     """
-    out = [RE_ZERO] * n
-    for t, q, val in nonzero:
-        x = vec[t]
-        if x.num.terms:
-            s = out[q]
-            x = x * val
-            out[q] = x if s is RE_ZERO else s + x
+    out = {}
+    if vec:
+        for t, q, val in nonzero:
+            x = vec.get(t)
+            if x is not None:
+                _add(out, q, x * val)
     return out
 
 
-def signed_sum(terms, n: int) -> list:
-    """The vector t1 +- t2 +- ... of terms ((plus, t1), (plus, t2), ...),
-    plus False for a difference.
+def signed_sum(terms) -> dict:
+    """The sparse vector t1 +- t2 +- ... of sparse terms ((plus, t1),
+    (plus, t2), ...), plus False for a difference.
 
-    Each coordinate adds only its nonzero terms, left to right with their
-    signs.  A sum or difference with a zero operand is the other operand
-    unchanged, and 0 - x is -x (the zero-operand rule of exact.RatExpr),
-    so every coordinate is the object the dense expression t1 +- t2 +- ...
-    would give, down to its unreduced text.
+    Each coordinate adds its terms' nonzero entries left to right, with
+    their signs.  A sum or difference with a zero operand is the other
+    operand unchanged, and 0 - x is -x (the zero-operand rule of
+    exact.RatExpr), so every coordinate is the object the dense expression
+    t1 +- t2 +- ... would give, down to its unreduced text; a coordinate
+    whose sum is zero is left out.
     """
-    out = [None] * n
+    out = {}
     for plus, vec in terms:
-        for q, x in enumerate(vec):
-            if x.num.terms:
-                s = out[q]
-                if s is None:
-                    out[q] = x if plus else -x
+        for q, x in vec.items():
+            s = out.get(q)
+            if s is None:
+                out[q] = x if plus else -x
+            else:
+                s = s + x if plus else s - x
+                if s.num.terms:
+                    out[q] = s
                 else:
-                    out[q] = s + x if plus else s - x
-    return [RE_ZERO if s is None else s for s in out]
+                    del out[q]
+    return out
 
 
 def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
@@ -249,6 +279,10 @@ class ResidualTensor:
     coordinates per named condition, in the order of conditions.  The
     identity holds iff every coordinate vanishes identically.
 
+    The vectors are kept sparse, as {t: RatExpr} over the nonzero
+    coordinates t of that list; the constructor takes the lists, and walk
+    and entries give them back, with RE_ZERO for every coordinate left out.
+
     A tabulated tensor computes its vectors in lexicographic order up to
     the first nonzero one, which decides is_zero and first_failure; the
     rest are computed only when walk, entries or holds(condition) reach
@@ -260,26 +294,28 @@ class ResidualTensor:
     def __init__(self, dim: int, entries: dict, conditions=()):
         self.dim = dim
         self.conditions = conditions
-        self._vectors = list(entries.items())
+        self._vectors = [(index, {t: x for t, x in enumerate(vec)
+                                  if x.num.terms})
+                         for index, vec in entries.items()]
         self._pending = iter(())
 
     @classmethod
     def tabulate(cls, dim: int, arity: int, coords, conditions=()):
-        """The tensor whose vector at a basis tuple is coords(*tuple),
-        computed up to the first nonzero vector."""
+        """The tensor whose sparse vector at a basis tuple is
+        coords(*tuple), computed up to the first nonzero vector."""
         res = cls(dim, {}, conditions)
         indices = iter_product(range(dim), repeat=arity)
         for index in indices:
             vec = coords(*index)
             res._vectors.append((index, vec))
-            if any([v.num.terms for v in vec]):
+            if vec:
                 break
         res._pending = ((index, coords(*index)) for index in indices)
         return res
 
     def _items(self):
-        """(index, vector) in lexicographic order, computing the pending
-        vectors as they are reached."""
+        """(index, sparse vector) in lexicographic order, computing the
+        pending vectors as they are reached."""
         done = self._vectors
         t = 0
         while True:
@@ -293,7 +329,9 @@ class ResidualTensor:
 
     @property
     def entries(self) -> dict:
-        return dict(self._items())
+        width = len(self._tails())
+        return {index: [vec.get(t, RE_ZERO) for t in range(width)]
+                for index, vec in self._items()}
 
     def _tails(self):
         """The label tail of each coordinate of a vector: (q,), or
@@ -312,8 +350,8 @@ class ResidualTensor:
         tails = self._tails()
         for index, vec in self._items():
             where = tuple(a + 1 for a in index)
-            for tail, value in zip(tails, vec):
-                yield where + tail, value
+            for t, tail in enumerate(tails):
+                yield where + tail, vec.get(t, RE_ZERO)
 
     def first_failure(self, condition=None):
         """The first nonzero coordinate as label + (value,), or None; with
@@ -321,14 +359,15 @@ class ResidualTensor:
         the hit's label is built."""
         tails = self._tails()
         for index, vec in self._items():
-            for tail, value in zip(tails, vec):
-                if value.num.terms and condition in (None, tail[-1]):
-                    return tuple(a + 1 for a in index) + tail + (value,)
+            for t in sorted(vec):
+                tail = tails[t]
+                if condition in (None, tail[-1]):
+                    return tuple(a + 1 for a in index) + tail + (vec[t],)
         return None
 
     @property
     def is_zero(self) -> bool:
-        return not any(v.num.terms for _, vec in self._items() for v in vec)
+        return not any(vec for _, vec in self._items())
 
     def holds(self, condition) -> bool:
         """Whether every coordinate of the named condition vanishes."""
@@ -345,14 +384,14 @@ def witness_dict(hit):
 
 def leibniz_residual(table: AlgebraTable) -> ResidualTensor:
     """R(e_i,e_j,e_k) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]."""
-    n, c = table.dim, table.c
+    c = table.sparse_c
 
     def coords(i, j, k):
         return signed_sum(((True, table.e_bracket(i, c[j][k])),
                            (False, table.bracket_e(c[i][j], k)),
-                           (True, table.bracket_e(c[i][k], j))), n)
+                           (True, table.bracket_e(c[i][k], j))))
 
-    return ResidualTensor.tabulate(n, 3, coords)
+    return ResidualTensor.tabulate(table.dim, 3, coords)
 
 
 def combined_bracket(a: AlgebraTable, b: AlgebraTable, l1, l2) -> AlgebraTable:

@@ -56,7 +56,7 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
     Leibniz for all coefficients (given that both brackets already are)."""
     if a.dim != b.dim:
         raise ValueError("tables have different dimensions")
-    n, ca, cb = a.dim, a.c, b.c
+    ca, cb = a.sparse_c, b.sparse_c
 
     def coords(i, j, k):
         return signed_sum(((True, b.e_bracket(i, ca[j][k])),
@@ -64,9 +64,9 @@ def mixed_residual(a: AlgebraTable, b: AlgebraTable) -> ResidualTensor:
                            (False, b.bracket_e(ca[i][j], k)),
                            (False, a.bracket_e(cb[i][j], k)),
                            (True, b.bracket_e(ca[i][k], j)),
-                           (True, a.bracket_e(cb[i][k], j))), n)
+                           (True, a.bracket_e(cb[i][k], j))))
 
-    return ResidualTensor.tabulate(n, 3, coords)
+    return ResidualTensor.tabulate(a.dim, 3, coords)
 
 
 def _disjoin_params(a: AlgebraTable, b: AlgebraTable):

@@ -3,8 +3,10 @@
 Everything downstream (structure constants, operator equations, finite-field
 reduction) is built on three value types:
 
-  Scalar   a + b*i with rational a, b (fractions.Fraction).  The coefficient
-           field; no floats anywhere.
+  Scalar   a + b*i with rational a, b.  The coefficient field.  Each part
+           is an int when it is integral and a fractions.Fraction
+           otherwise, never a float: a quotient is always built as a
+           Fraction, and every result is brought back to that form.
   Poly     sparse multivariate polynomial with Scalar coefficients.  A
            monomial is a tuple of (parameter name, exponent) pairs sorted by
            name, so equal polynomials carry identical dict keys.
@@ -23,8 +25,11 @@ last rule in turn: they add only their nonzero terms, left to right with
 their signs, and get the very objects a dense sum would.
 
 A sum, difference, product or negation of real Scalars skips the
-imaginary part: the result equals the general formula's, with the shared
-Fraction zero as its imaginary part.
+imaginary part: the result equals the general formula's, with 0 as its
+imaginary part.  Most coefficients are small integers, so most Scalar
+arithmetic is int arithmetic; an int and the Fraction of equal value
+print, compare and hash alike, so the canonical parts change no value,
+no printed text and no hash.
 
 Expression grammar accepted by parse_expr (EBNF, also in the README):
 
@@ -69,18 +74,28 @@ class NonRealValue(ExactError):
     """A value with nonzero imaginary part reached a real-only context."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _part(x):
+    """x as a Scalar part: an int when integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Scalar:
-    """Gaussian rational a + b*i.  Immutable by convention."""
+    """Gaussian rational a + b*i.  Immutable by convention.
+
+    Each part is an int when integral and a Fraction otherwise (_part);
+    every operation returns parts in that form.  A part that involves a
+    Fraction is checked for denominator 1, and int with int stays int.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is int else _part(re)
+        self.im = im if type(im) is int else _part(im)
 
     @property
     def is_zero(self) -> bool:
@@ -103,9 +118,12 @@ class Scalar:
         if o is None:
             return NotImplemented
         if not self.im and not o.im:
+            r = self.re + o.re
+            if type(r) is not int and r.denominator == 1:
+                r = r.numerator
             out = Scalar.__new__(Scalar)
-            out.re = self.re + o.re
-            out.im = _ZERO
+            out.re = r
+            out.im = 0
             return out
         return Scalar(self.re + o.re, self.im + o.im)
 
@@ -116,9 +134,12 @@ class Scalar:
         if o is None:
             return NotImplemented
         if not self.im and not o.im:
+            r = self.re - o.re
+            if type(r) is not int and r.denominator == 1:
+                r = r.numerator
             out = Scalar.__new__(Scalar)
-            out.re = self.re - o.re
-            out.im = _ZERO
+            out.re = r
+            out.im = 0
             return out
         return Scalar(self.re - o.re, self.im - o.im)
 
@@ -133,9 +154,12 @@ class Scalar:
         if o is None:
             return NotImplemented
         if not self.im and not o.im:
+            r = self.re * o.re
+            if type(r) is not int and r.denominator == 1:
+                r = r.numerator
             out = Scalar.__new__(Scalar)
-            out.re = self.re * o.re
-            out.im = _ZERO
+            out.re = r
+            out.im = 0
             return out
         return Scalar(self.re * o.re - self.im * o.im,
                       self.re * o.im + self.im * o.re)
@@ -149,8 +173,9 @@ class Scalar:
         n = o.re * o.re + o.im * o.im
         if not n:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / n,
-                      (self.im * o.re - self.re * o.im) / n)
+        # Fraction(a, n), never a / n, which is a float for two ints
+        return Scalar(Fraction(self.re * o.re + self.im * o.im, n),
+                      Fraction(self.im * o.re - self.re * o.im, n))
 
     def __rtruediv__(self, other):
         o = Scalar._coerce(other)
@@ -162,7 +187,7 @@ class Scalar:
         if not self.im:
             out = Scalar.__new__(Scalar)
             out.re = -self.re
-            out.im = _ZERO
+            out.im = 0
             return out
         return Scalar(-self.re, -self.im)
 

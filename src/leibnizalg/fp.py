@@ -862,18 +862,19 @@ def _eval_chart(form: _ChartForm, values):
     return m
 
 
-def _chart_points(fam: OperatorFamily, p: int, *,
+def _chart_points(fam: OperatorFamily, form: _ChartForm, *,
                   forced: dict | None = None, budget: int = 0,
                   refusal: str = "", rng: random.Random | None = None):
     """Counter values of the chart (None outside its domain) at the
-    assignments that take forced's values (keyed by slot).
+    assignments that take forced's values (keyed by slot); form is the
+    chart compiled for its prime (_chart_form).
 
     Without rng the names left open run over all of F_p, and their p^k
     cases are refused past the budget with refusal, formatted with p, k,
     label and budget.  With rng they take fresh random values at each
     point, without end.
     """
-    form = _chart_form(fam, p)
+    p = form.p
     values = [None] * len(fam.free)
     for slot, value in (forced or {}).items():
         values[slot] = value
@@ -905,14 +906,27 @@ def chart_membership(fam: OperatorFamily, m: int, p: int, *,
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
-    n = len(fam.chart)
-    if not isinstance(m, int) or not 0 <= m < p ** (n * n):
+    _check_counter(fam, m, p, p ** (len(fam.chart) ** 2))
+    return _chart_member(fam, _chart_form(fam, p), m, budget)
+
+
+def _check_counter(fam: OperatorFamily, m, p: int, bound: int):
+    """ValueError unless m is an int in [0, bound), bound = p^(n*n)."""
+    if not isinstance(m, int) or not 0 <= m < bound:
+        n = len(fam.chart)
         raise ValueError(f"{m!r} is not the counter value of a matrix over "
                          f"F_{p} of the chart's size {n} x {n}")
+
+
+def _chart_member(fam: OperatorFamily, form: _ChartForm, m: int,
+                  budget: int) -> bool:
+    """chart_membership of a checked counter value m over form's prime:
+    the read-off, then the search."""
+    p = form.p
     forced = {slot: m // weight % p * inv % p
-              for weight, slot, inv in _chart_form(fam, p).read_off}
+              for weight, slot, inv in form.read_off}
     return m in _chart_points(
-        fam, p, forced=forced, budget=budget,
+        fam, form, forced=forced, budget=budget,
         refusal="membership fallback needs {p}^{k} cases for {label}, "
                 "over the budget {budget}")
 
@@ -924,7 +938,7 @@ def family_solution_set(fam: OperatorFamily, p: int, *,
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
     points = set(_chart_points(
-        fam, p, budget=budget,
+        fam, _chart_form(fam, p), budget=budget,
         refusal="enumerating {p}^{k} assignments for {label} is over the "
                 "budget {budget}"))
     points.discard(None)
@@ -933,11 +947,18 @@ def family_solution_set(fam: OperatorFamily, p: int, *,
 
 def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
                     seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
-    """chart_membership must accept every point the chart itself produces."""
+    """chart_membership must accept every point the chart itself produces.
+
+    The prime, the chart form and the counter bound are checked and built
+    once; each point then goes through membership's read-off and search
+    (_chart_member), which never sees the point's assignment.
+    """
     if fam.chart is None:
         raise ValueError(f"{fam.label()} is malformed")
     _check_prime(p)
-    points = _chart_points(fam, p, rng=random.Random(seed))
+    form = _chart_form(fam, p)
+    bound = p ** (len(fam.chart) ** 2)
+    points = _chart_points(fam, form, rng=random.Random(seed))
     if not fam.free:
         samples = 1   # nothing is left open, so there is only one point
     checked = 0
@@ -947,7 +968,8 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
         m = next(points)
         if m is None:
             continue
-        if not chart_membership(fam, m, p, budget=budget):
+        _check_counter(fam, m, p, bound)
+        if not _chart_member(fam, form, m, budget):
             return {"family": fam.label(), "checked": checked, "ok": False,
                     "counterexample": m}
         checked += 1

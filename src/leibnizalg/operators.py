@@ -83,27 +83,33 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
     The vector at (e_i, e_j) holds the dim coordinates of the residual, or
     for averaging the left condition's dim coordinates and then the right
     condition's; labels are (i, j, q, condition), condition "" for the
-    other kinds.
+    other kinds.  The vectors are sparse: coordinate q, 0-based, is keyed
+    q, and for averaging the right condition's is keyed dim + q.
     """
     n = table.dim
     if len(T) != n or any(len(row) != n for row in T):
         raise ValueError(f"operator matrix must be {n}x{n}")
-    cols = [[T[r][c] for r in range(n)] for c in range(n)]
-    # T's nonzero entries per row, as (k, T[q][k]) in ascending k
+    # T's columns as sparse vectors, and its nonzero entries per row, as
+    # (k, T[q][k]) in ascending k
+    cols = [{r: T[r][col] for r in range(n) if T[r][col].num.terms}
+            for col in range(n)]
     rows = [[(k, t) for k, t in enumerate(T[q]) if t.num.terms]
             for q in range(n)]
     weight = kind.weight
+    c = table.sparse_c
 
     def apply_t(vec):
-        out = []
-        for row in rows:
-            s = RE_ZERO
-            for k, t in row:
-                x = vec[k]
-                if x.num.terms:
-                    x = t * x
-                    s = x if s is RE_ZERO else s + x
-            out.append(s)
+        out = {}
+        if vec:
+            for q, row in enumerate(rows):
+                s = None
+                for k, t in row:
+                    x = vec.get(k)
+                    if x is not None:
+                        x = t * x
+                        s = x if s is None else s + x
+                if s is not None and s.num.terms:
+                    out[q] = s
         return out
 
     def coords(i, j):
@@ -114,18 +120,20 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
         if kind.name == "rota-baxter":
             terms = [(True, bte), (True, bet)]
             if weight.num.terms:
-                terms.append((True, [weight * x if x.num.terms else x
-                                     for x in table.c[i][j]]))
+                terms.append((True, {q: weight * x
+                                     for q, x in c[i][j].items()}))
         elif kind.name == "nijenhuis":
-            terms = ((True, bte), (True, bet),
-                     (False, apply_t(table.c[i][j])))
+            terms = ((True, bte), (True, bet), (False, apply_t(c[i][j])))
         elif kind.name == "reynolds":
             terms = ((True, bet), (True, bte), (False, btt))
-        else:  # averaging: left and right one-sided conditions
-            return (signed_sum(((True, btt), (False, apply_t(bte))), n)
-                    + signed_sum(((True, btt), (False, apply_t(bet))), n))
-        out = apply_t(signed_sum(terms, n))
-        return signed_sum(((True, btt), (False, out)), n)
+        else:  # averaging: left and right one-sided conditions, the
+            # right condition's coordinate q keyed n + q
+            left = signed_sum(((True, btt), (False, apply_t(bte))))
+            right = signed_sum(((True, btt), (False, apply_t(bet))))
+            left.update((n + q, x) for q, x in right.items())
+            return left
+        out = apply_t(signed_sum(terms))
+        return signed_sum(((True, btt), (False, out)))
 
     conditions = ("left", "right") if kind.name == "averaging" else ("",)
     return ResidualTensor.tabulate(n, 2, coords, conditions)

@@ -25,12 +25,14 @@ from leibnizalg.algebra import (
     signed_sum,
 )
 from leibnizalg.compat import mixed_residual
-from leibnizalg.exact import RatExpr, Scalar, parse_expr
+from leibnizalg.exact import RE_ONE, RatExpr, Scalar, parse_expr
 from leibnizalg.operators import KIND_NAMES, make_kind, operator_residual
+import oracles
+from oracles import dense, eager, sparse
 from strategies import (
     ENTRY_TEXTS,
+    EagerResidual,
     dims,
-    eager,
     sparse_tables,
     unit,
     walk_text,
@@ -52,17 +54,17 @@ def catalog():
 class TestBracket:
     def test_filiform_products(self, catalog):
         t = catalog["L1"]
-        e1 = [RatExpr.const(1)] + [RatExpr.const(0)] * 3
+        e1 = {0: RE_ONE}
         out = t.bracket(e1, e1)
-        assert [str(x) for x in out] == ["0", "1", "0", "0"]
+        assert [str(x) for x in dense(out, 4)] == ["0", "1", "0", "0"]
 
     def test_bilinear(self, catalog):
         t = catalog["L17"]
-        u = [parse_expr(s) for s in ["2", "3", "0", "0"]]
-        v = [parse_expr(s) for s in ["1", "-1", "0", "0"]]
+        u = sparse([parse_expr(s) for s in ["2", "3", "0", "0"]])
+        v = sparse([parse_expr(s) for s in ["1", "-1", "0", "0"]])
         out = t.bracket(u, v)
         # [2e1+3e2, e1-e2] = -2[e1,e2] + 3[e2,e1] = -2e3 + 3e4
-        assert [str(x) for x in out] == ["0", "0", "-2", "3"]
+        assert [str(x) for x in dense(out, 4)] == ["0", "0", "-2", "3"]
 
 
 class TestResidual:
@@ -94,12 +96,12 @@ def dense_leibniz_residual(table):
     n = table.dim
 
     def coords(i, j, k):
-        t1 = table.bracket(unit(n, i), list(table.c[j][k]))
-        t2 = table.bracket(list(table.c[i][j]), unit(n, k))
-        t3 = table.bracket(list(table.c[i][k]), unit(n, j))
+        t1 = oracles.bracket(table, unit(n, i), list(table.c[j][k]))
+        t2 = oracles.bracket(table, list(table.c[i][j]), unit(n, k))
+        t3 = oracles.bracket(table, list(table.c[i][k]), unit(n, j))
         return [t1[q] - t2[q] + t3[q] for q in range(n)]
 
-    return ResidualTensor.tabulate(n, 3, coords)
+    return EagerResidual(n, 3, coords)
 
 
 class TestSparseContraction:
@@ -111,18 +113,21 @@ class TestSparseContraction:
         v = [parse_expr(text) for text in data.draw(
             st.lists(st.sampled_from(ENTRY_TEXTS + ("0", "0")),
                      min_size=n, max_size=n))]
-        ea = unit(n, a)
-        for got, dense in ((table.e_bracket(a, v), table.bracket(ea, v)),
-                           (table.bracket_e(v, a), table.bracket(v, ea))):
-            assert [str(x) for x in got] == [str(x) for x in dense]
+        ea, sv = unit(n, a), sparse(v)
+        for got, want in ((table.e_bracket(a, sv),
+                           oracles.bracket(table, ea, v)),
+                          (table.bracket_e(sv, a),
+                           oracles.bracket(table, v, ea))):
+            assert [str(x) for x in dense(got, n)] == [str(x) for x in want]
+            assert all(not x.is_zero for x in got.values())
 
     @settings(max_examples=60, deadline=None)
     @given(dims.flatmap(sparse_tables))
     def test_leibniz_residual_matches_dense_oracle(self, table):
         res = leibniz_residual(table)
-        dense = dense_leibniz_residual(table)
-        assert walk_text(res) == walk_text(dense)
-        assert res.is_zero == (dense.first_failure() is None)
+        want = dense_leibniz_residual(table)
+        assert walk_text(res) == walk_text(want)
+        assert res.is_zero == (want.first_failure() is None)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -134,12 +139,14 @@ class TestSparseContraction:
     def test_signed_sum_is_the_dense_sum(self, terms):
         # the dense t1 +- t2 +- ..., left to right, zero terms included
         n = len(terms[0][1])
-        dense = [RatExpr.const(0) + terms[0][1][q] if terms[0][0]
-                 else RatExpr.const(0) - terms[0][1][q] for q in range(n)]
+        want = [RatExpr.const(0) + terms[0][1][q] if terms[0][0]
+                else RatExpr.const(0) - terms[0][1][q] for q in range(n)]
         for plus, vec in terms[1:]:
-            dense = [d + x if plus else d - x for d, x in zip(dense, vec)]
-        got = signed_sum(terms, n)
-        assert [str(x) for x in got] == [str(x) for x in dense]
+            want = [d + x if plus else d - x for d, x in zip(want, vec)]
+        got = signed_sum([(plus, sparse(vec)) for plus, vec in terms])
+        assert [str(x) for x in dense(got, n)] == [str(x) for x in want] \
+            == [str(x) for x in oracles.signed_sum(terms, n)]
+        assert all(not x.is_zero for x in got.values())
 
     def test_unit_brackets_sum_in_ascending_index(self):
         # [e1, v] = [v, e1] = (v1 + v2 + v3) e1 with v over denominators
@@ -150,10 +157,12 @@ class TestSparseContraction:
         table = AlgebraTable("sum", 3, c)
         v = [parse_expr(t) for t in ("1/(1-mu)", "mu/(1-mu)", "1/(1+mu)")]
         backwards = v[2] + v[1] + v[0]
-        e1 = unit(3, 0)
-        for got, dense in ((table.e_bracket(0, v), table.bracket(e1, v)),
-                           (table.bracket_e(v, 0), table.bracket(v, e1))):
-            assert str(got[0]) == str(dense[0]) \
+        e1, sv = unit(3, 0), sparse(v)
+        for got, want in ((table.e_bracket(0, sv),
+                           oracles.bracket(table, e1, v)),
+                          (table.bracket_e(sv, 0),
+                           oracles.bracket(table, v, e1))):
+            assert str(got[0]) == str(want[0]) \
                 == "(2 + mu + mu^2)/(1 - mu^2)"
             assert got[0] == backwards and str(got[0]) != str(backwards)
 

@@ -178,18 +178,18 @@ def test_chart_checks_evaluate_each_point_once(monkeypatch, p):
         assert found == (m in points)
         assert len(seen) == (seen.index(m) + 1 if found else p ** 2)
     # a round trip draws points and sends each admissible one to
-    # membership, which evaluates its own
-    real_membership, drawn, inside = fp.chart_membership, [], []
+    # membership's read-off and search, which evaluates its own
+    real_member, drawn, inside = fp._chart_member, [], []
 
-    def membership(fam, m, p, **kwargs):
+    def member(fam, form, m, budget):
         drawn.extend(seen)
         seen.clear()
-        found = real_membership(fam, m, p, **kwargs)
+        found = real_member(fam, form, m, budget)
         inside.append(seen[:])
         seen.clear()
         return found
 
-    monkeypatch.setattr(fp, "chart_membership", membership)
+    monkeypatch.setattr(fp, "_chart_member", member)
     seen.clear()
     out = fp.roundtrip_check(fam, p, samples=10)
     drawn.extend(seen)

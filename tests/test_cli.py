@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output discipline, determinism."""
 
+import hashlib
 import json
 import shlex
 import shutil
@@ -663,3 +664,28 @@ def test_text_and_json_agree_on_verdict(capsys):
     code_j, out_j, _ = run(capsys, "check-leibniz", "L2", "--format", "json")
     assert code_t == code_j == 0
     assert json.loads(out_j)["residual_zero"] is True
+
+
+#: sha256 of stdout and the exit code of canonical commands, recorded before
+#: the exact core's Scalar parts became ints and its residual vectors sparse;
+#: any change to the exact core must leave these bytes as they are
+GOLDEN = [
+    (("verify", "--format", "json", "--symbolic-weight"), 1,
+     "261bc60ce84d68b73f707d586865faacbf628683c74203a0a0034d84aa6dec4a"),
+    (("compat-scan", "--format", "json", "--lambda-samples", "5"), 0,
+     "05125ed3605e8cf1d82469cac76f3871912fe6e21b5167f603745a424148cc88"),
+    (("dim-report", "--format", "json"), 0,
+     "3ed4f7ff12c6cf16419b0ac50a8b13a19cc676b283e1d71f5ddf50f52e5e24e9"),
+    (("equations", "L9", "--op", "reynolds"), 0,
+     "a821555cd5b00cf0e9c47c6dfdf5d1669306e9d166ce55da4bc1550d72b5c54c"),
+    (("equations", "L20", "--op", "rota-baxter", "--weight", "1/2"), 0,
+     "656152f66237ee545b1bc666f13146e26676bc3ba3d47bdf9ae5a8b018856f39"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_canonical_output_keeps_its_golden_bytes(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

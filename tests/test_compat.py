@@ -14,7 +14,6 @@ from leibnizalg.algebra import (
     AlgebraTable,
     CatalogError,
     ParamSpec,
-    ResidualTensor,
     bind_params,
     catalog_map,
     combined_bracket,
@@ -31,7 +30,9 @@ from leibnizalg.compat import (
     _disjoin_params,
 )
 from leibnizalg.exact import RE_ZERO, RatExpr
-from strategies import dims, eager, sparse_tables, unit, walk_text
+import oracles
+from oracles import eager
+from strategies import EagerResidual, dims, sparse_tables, unit, walk_text
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +69,16 @@ def dense_mixed_residual(a, b):
     n = a.dim
 
     def coords(i, j, k):
-        t1 = b.bracket(unit(n, i), list(a.c[j][k]))
-        t2 = a.bracket(unit(n, i), list(b.c[j][k]))
-        t3 = b.bracket(list(a.c[i][j]), unit(n, k))
-        t4 = a.bracket(list(b.c[i][j]), unit(n, k))
-        t5 = b.bracket(list(a.c[i][k]), unit(n, j))
-        t6 = a.bracket(list(b.c[i][k]), unit(n, j))
+        t1 = oracles.bracket(b, unit(n, i), list(a.c[j][k]))
+        t2 = oracles.bracket(a, unit(n, i), list(b.c[j][k]))
+        t3 = oracles.bracket(b, list(a.c[i][j]), unit(n, k))
+        t4 = oracles.bracket(a, list(b.c[i][j]), unit(n, k))
+        t5 = oracles.bracket(b, list(a.c[i][k]), unit(n, j))
+        t6 = oracles.bracket(a, list(b.c[i][k]), unit(n, j))
         return [t1[q] + t2[q] - t3[q] - t4[q] + t5[q] + t6[q]
                 for q in range(n)]
 
-    return ResidualTensor.tabulate(n, 3, coords)
+    return EagerResidual(n, 3, coords)
 
 
 @settings(max_examples=60, deadline=None)

@@ -342,20 +342,27 @@ def test_copies_keep_the_shared_denominator():
 gaussian = st.one_of(st.builds(Scalar, fracs), scalars)
 
 
+def _canonical(part):
+    """A Scalar part's form: an int exactly when integral, otherwise a
+    Fraction, and never a float."""
+    return type(part) is int or (type(part) is Fraction
+                                 and part.denominator != 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(gaussian, gaussian)
 def test_scalar_product_matches_four_products(a, b):
     want = Scalar(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
     for got in (a * b, b * a):
         assert got == want
-        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert _canonical(got.re) and _canonical(got.im)
         assert repr(got) == repr(want)
         assert str(got) == str(want)
 
 
 def _same_scalar(got, want):
     assert got == want
-    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert _canonical(got.re) and _canonical(got.im)
     assert repr(got) == repr(want)
     assert str(got) == str(want)
 
@@ -388,3 +395,140 @@ def test_reduce_mod_p_examples():
 def test_reduce_mod_p_rejects_parameters():
     with pytest.raises(ValueError):
         parse_expr("x+1").as_scalar()
+
+
+# --- canonical Scalar parts ----------------------------------------------------
+
+# parts drawn as ints, as integral Fractions and as proper Fractions
+parts = st.one_of(st.integers(min_value=-12, max_value=12),
+                  fracs, fracs.map(lambda f: Fraction(f.numerator)))
+mixed_scalars = st.one_of(st.builds(Scalar, parts),
+                          st.builds(Scalar, parts, parts))
+
+
+def _ref(x):
+    """(re, im) of a Scalar or a number as two Fractions."""
+    if isinstance(x, Scalar):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def _ref_pow(a, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _same_value_canonical(got, want):
+    assert isinstance(got, Scalar)
+    assert _canonical(got.re) and _canonical(got.im), repr(got)
+    assert (got.re, got.im) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_scalars, mixed_scalars,
+       st.one_of(st.integers(-4, 4), fracs), st.integers(0, 5))
+def test_scalar_parts_stay_canonical_and_exact(a, b, k, e):
+    # every operation against a reference computed in Fractions only
+    ra, rb, rk = _ref(a), _ref(b), _ref(k)
+    checks = [
+        (a + b, (ra[0] + rb[0], ra[1] + rb[1])),
+        (a - b, (ra[0] - rb[0], ra[1] - rb[1])),
+        (a * b, _ref_mul(ra, rb)),
+        (-a, (-ra[0], -ra[1])),
+        (a ** e, _ref_pow(ra, e)),
+        (a + k, (ra[0] + rk[0], ra[1])),
+        (k + a, (ra[0] + rk[0], ra[1])),
+        (a - k, (ra[0] - rk[0], ra[1])),
+        (k - a, (rk[0] - ra[0], -ra[1])),
+        (a * k, (ra[0] * rk[0], ra[1] * rk[0])),
+        (Scalar(a.re, a.im), ra),
+    ]
+    if b:
+        checks.append((a / b, _ref_div(ra, rb)))
+        checks.append((k / b, _ref_div(rk, rb)))
+    if k:
+        checks.append((a / k, _ref_div(ra, rk)))
+    if a:
+        checks.append((Scalar(1) / a, _ref_div((Fraction(1), Fraction(0)),
+                                               ra)))
+    for got, want in checks:
+        _same_value_canonical(got, want)
+
+
+@st.composite
+def gaussian_texts(draw):
+    """The text of a Gaussian rational constant and its value as two
+    Fractions, written as sums, products and quotients of integers."""
+    re_n, im_n = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    re_d, im_d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    text = f"({re_n})/({re_d}) + ({im_n})*i/({im_d})"
+    return text, (Fraction(re_n, re_d), Fraction(im_n, im_d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_texts(), gaussian_texts(), polys())
+def test_parsed_and_folded_values_stay_canonical(x, y, num):
+    (tx, vx), (ty, vy) = x, y
+    # parse_expr: a constant, and a quotient of two (when defined)
+    _same_value_canonical(parse_expr(tx).as_scalar(), vx)
+    if any(vy):
+        _same_value_canonical(parse_expr(f"({tx})/({ty})").as_scalar(),
+                              _ref_div(vx, vy))
+    # the constant-denominator fold of RatExpr.__init__ scales the
+    # numerator by 1/c, term by term
+    if any(vy):
+        c = Scalar(*vy)
+        folded = RatExpr(num, Poly.const(c))
+        assert folded.den is _POLY_ONE
+        inv = _ref_div((Fraction(1), Fraction(0)), vy)
+        assert set(folded.num.terms) == set(num.terms)
+        for m, coef in folded.num.terms.items():
+            _same_value_canonical(coef, _ref_mul(_ref(num.terms[m]), inv))
+
+
+def _poly_parts(poly):
+    for c in poly.terms.values():
+        yield c.re
+        yield c.im
+
+
+def _expr_parts(e):
+    yield from _poly_parts(e.num)
+    yield from _poly_parts(e.den)
+
+
+def test_catalog_charts_and_residuals_have_canonical_parts():
+    from leibnizalg.algebra import catalog_map, leibniz_residual
+    from leibnizalg.compat import mixed_residual
+    from leibnizalg.operators import (KIND_NAMES, load_families, make_kind,
+                                      operator_residual, unknown_matrix)
+    cmap = catalog_map()
+    exprs = [e for t in cmap.values() for plane in t.c for row in plane
+             for e in row]
+    for kind in KIND_NAMES:
+        for fam in load_families(kind):
+            if not fam.malformed:
+                exprs += [e for row in fam.chart for e in row]
+                exprs += fam.constraints
+    # one residual per kind, walked in full: L20 carries (1 + mu)/(1 - mu)
+    table = cmap["L20"]
+    for kind in (make_kind(k) for k in KIND_NAMES):
+        exprs += [v for _, v in operator_residual(
+            table, kind, unknown_matrix(4, kind.name)).walk()]
+    exprs += [v for _, v in leibniz_residual(table).walk()]
+    exprs += [v for _, v in mixed_residual(table, cmap["L4"]).walk()]
+    got = [part for e in exprs for part in _expr_parts(e)]
+    assert got and all(_canonical(part) for part in got)
+    # the catalog's coefficients are mostly integers
+    assert any(type(part) is int and part not in (0, 1) for part in got)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg.operators as operators
-from leibnizalg.algebra import AlgebraTable, CatalogError, ResidualTensor, \
-    catalog_map
+from leibnizalg.algebra import AlgebraTable, CatalogError, catalog_map
 from leibnizalg.exact import (
     DenominatorVanishes,
     Poly,
@@ -32,7 +31,8 @@ from leibnizalg.operators import (
     unknown_matrix,
     verify_family,
 )
-from strategies import dims, sparse_tables, unit, walk_text
+import oracles
+from strategies import EagerResidual, dims, sparse_tables, unit, walk_text
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +336,9 @@ def dense_operator_residual(table, kind, T):
 
     def coords(i, j):
         ti, tj = cols[i], cols[j]
-        btt = table.bracket(ti, tj)
-        bte = table.bracket(ti, unit(n, j))
-        bet = table.bracket(unit(n, i), tj)
+        btt = oracles.bracket(table, ti, tj)
+        bte = oracles.bracket(table, ti, unit(n, j))
+        bet = oracles.bracket(table, unit(n, i), tj)
         if kind.name == "rota-baxter":
             bee = list(table.c[i][j])
             inner = [bte[q] + bet[q] + kind.weight * bee[q] for q in range(n)]
@@ -356,7 +356,7 @@ def dense_operator_residual(table, kind, T):
         return [btt[q] - out[q] for q in range(n)]
 
     conditions = ("left", "right") if kind.name == "averaging" else ("",)
-    return ResidualTensor.tabulate(n, 2, coords, conditions)
+    return EagerResidual(n, 2, coords, conditions)
 
 
 OPERATOR_ENTRIES = ("0",) * 8 + ("1", "-2", "1/2", "i", "t", "s + 1",
