@@ -27,16 +27,20 @@ over the table's nonzero entries with that first or second index
 each c[i][j] as such a vector.  Each coordinate is summed in ascending
 contracted index, the order of the dense bracket, so the unreduced text
 of every residual coordinate, and with it every witness, is the dense
-bracket's.  The operator matrix is contracted over its nonzero entries
-too (operators.operator_residual lists them per row once per call).
+bracket's.  The operator matrix is contracted by the same contraction
+(contract), over its nonzero entries.
 
 The residuals' own sums, such as the three brackets of R above, add only
-their nonzero terms (signed_sum), and so do the contractions.  This rests
-on the zero-operand rule of exact.RatExpr (x + 0 and x - 0 are x, 0 - x
-is -x), by which the sparse sum returns the very objects of the dense
-one, in the same order and with the same signs.  A ResidualTensor reads
-its sparse vectors back densely: walk and entries give RE_ZERO for every
-coordinate a vector leaves out, so labels and values are as dense.
+their nonzero terms (signed_sum), and so do the contractions, both
+through one sparse sum (_add).  This rests on the zero-operand rule of
+exact.RatExpr (x + 0 and x - 0 are x, 0 - x is -x), by which the sparse
+sum returns the very objects of the dense one, in the same order and
+with the same signs.  A ResidualTensor reads its sparse vectors back
+densely: walk gives RE_ZERO for every coordinate a vector leaves out, so
+labels and values are as dense.
+
+The lower central series brackets with the same bracket_e and row-reduces
+the resulting constants as RatExprs (echelon_basis).
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ from .exact import (
     ExactError,
     ExprSyntaxError,
     RatExpr,
+    RE_ONE,
     RE_ZERO,
     Scalar,
-    SC_ZERO,
     parse_expr,
 )
 
@@ -166,11 +170,11 @@ class AlgebraTable:
 
     def e_bracket(self, a: int, v: dict) -> dict:
         """[e_a, v] for a sparse vector v; 0-based index."""
-        return _contract(self._left[a], v)
+        return contract(self._left[a], v)
 
     def bracket_e(self, u: dict, b: int) -> dict:
         """[u, e_b] for a sparse vector u; 0-based index."""
-        return _contract(self._right[b], u)
+        return contract(self._right[b], u)
 
 
 def _add(out: dict, q: int, x):
@@ -189,7 +193,7 @@ def _add(out: dict, q: int, x):
             del out[q]
 
 
-def _contract(nonzero, vec: dict) -> dict:
+def contract(nonzero, vec: dict) -> dict:
     """The sparse vector sum of vec[t] * val e_q over (t, q, val) in
     nonzero.
 
@@ -213,21 +217,14 @@ def signed_sum(terms) -> dict:
     their signs.  A sum or difference with a zero operand is the other
     operand unchanged, and 0 - x is -x (the zero-operand rule of
     exact.RatExpr), so every coordinate is the object the dense expression
-    t1 +- t2 +- ... would give, down to its unreduced text; a coordinate
-    whose sum is zero is left out.
+    t1 +- t2 +- ... would give, down to its unreduced text (s - x and
+    s + (-x) are equal polynomials); a coordinate whose sum is zero is
+    left out.
     """
     out = {}
     for plus, vec in terms:
         for q, x in vec.items():
-            s = out.get(q)
-            if s is None:
-                out[q] = x if plus else -x
-            else:
-                s = s + x if plus else s - x
-                if s.num.terms:
-                    out[q] = s
-                else:
-                    del out[q]
+            _add(out, q, x if plus else -x)
     return out
 
 
@@ -273,37 +270,35 @@ def bind_params(table: AlgebraTable, bindings: dict) -> AlgebraTable:
 class ResidualTensor:
     """The residual of an identity, one coefficient vector per basis tuple.
 
-    entries maps each 0-based basis tuple (i, j) or (i, j, k), in
-    lexicographic order, to a list of RatExpr.  With conditions empty the
-    list holds the dim coordinates of one identity; otherwise it holds dim
-    coordinates per named condition, in the order of conditions.  The
-    identity holds iff every coordinate vanishes identically.
+    Each 0-based basis tuple (i, j) or (i, j, k), in lexicographic order,
+    has a vector of RatExpr.  With conditions empty the vector holds the
+    dim coordinates of one identity; otherwise it holds dim coordinates
+    per named condition, in the order of conditions.  The identity holds
+    iff every coordinate vanishes identically.
 
     The vectors are kept sparse, as {t: RatExpr} over the nonzero
-    coordinates t of that list; the constructor takes the lists, and walk
-    and entries give them back, with RE_ZERO for every coordinate left out.
+    coordinates t; walk gives every coordinate back, with RE_ZERO for each
+    one left out.
 
-    A tabulated tensor computes its vectors in lexicographic order up to
-    the first nonzero one, which decides is_zero and first_failure; the
-    rest are computed only when walk, entries or holds(condition) reach
-    them, and each vector is computed once.
+    A tensor is built by tabulate, which computes its vectors in
+    lexicographic order up to the first nonzero one, which decides is_zero
+    and first_failure; the rest are computed only when walk or
+    holds(condition) reach them, and each vector is computed once.
     """
 
     __slots__ = ("dim", "conditions", "_vectors", "_pending")
 
-    def __init__(self, dim: int, entries: dict, conditions=()):
+    def __init__(self, dim: int, conditions=()):
         self.dim = dim
         self.conditions = conditions
-        self._vectors = [(index, {t: x for t, x in enumerate(vec)
-                                  if x.num.terms})
-                         for index, vec in entries.items()]
+        self._vectors = []
         self._pending = iter(())
 
     @classmethod
     def tabulate(cls, dim: int, arity: int, coords, conditions=()):
         """The tensor whose sparse vector at a basis tuple is
         coords(*tuple), computed up to the first nonzero vector."""
-        res = cls(dim, {}, conditions)
+        res = cls(dim, conditions)
         indices = iter_product(range(dim), repeat=arity)
         for index in indices:
             vec = coords(*index)
@@ -326,12 +321,6 @@ class ResidualTensor:
                 done.append(item)
             yield done[t]
             t += 1
-
-    @property
-    def entries(self) -> dict:
-        width = len(self._tails())
-        return {index: [vec.get(t, RE_ZERO) for t in range(width)]
-                for index, vec in self._items()}
 
     def _tails(self):
         """The label tail of each coordinate of a vector: (q,), or
@@ -418,10 +407,11 @@ def combined_bracket(a: AlgebraTable, b: AlgebraTable, l1, l2) -> AlgebraTable:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Scalar
+# exact linear algebra
 
 def echelon_basis(rows):
-    """Row-reduce a list of Scalar vectors; returns a basis of their span."""
+    """Row-reduce a list of vectors over a field (Scalar or constant
+    RatExpr entries); returns a basis of their span."""
     basis = []  # list of (pivot_index, normalized row)
     for row in rows:
         row = list(row)
@@ -439,44 +429,34 @@ def echelon_basis(rows):
     return [b for _, b in basis]
 
 
-def _scalar_tensor(table: AlgebraTable):
-    if not table.is_bound():
-        raise ValueError(
-            f"{table.name} still has unbound parameters: {table.param_names()}")
-    return [[[e.as_scalar() for e in row] for row in plane] for plane in table.c]
-
-
 def lower_central_series(table: AlgebraTable):
     """Dims of L^1 >= L^2 >= ... with L^(k+1) = [L^k, L].
 
     Returns (dims, nilpotent).  The list ends with 0 when the series
-    terminates, otherwise with the first repeated dimension.
+    terminates, otherwise with the first repeated dimension.  Each step
+    brackets the basis of L^k with every e_j (bracket_e) and row-reduces
+    the nonzero results; the table must be bound, so that the constants
+    are numbers.
     """
+    if not table.is_bound():
+        raise ValueError(f"{table.name} still has unbound parameters: "
+                         f"{table.param_names()}")
     n = table.dim
-    cs = _scalar_tensor(table)
-    basis = [[Scalar(1) if q == t else SC_ZERO for q in range(n)]
-             for t in range(n)]
+    basis = [{t: RE_ONE} for t in range(n)]
     dims = [n]
     while True:
         gens = []
         for u in basis:
             for j in range(n):
-                w = [SC_ZERO] * n
-                for a in range(n):
-                    ua = u[a]
-                    if ua.is_zero:
-                        continue
-                    row = cs[a][j]
-                    for q in range(n):
-                        if not row[q].is_zero:
-                            w[q] = w[q] + ua * row[q]
-                if any(not x.is_zero for x in w):
-                    gens.append(w)
+                w = table.bracket_e(u, j)
+                if w:
+                    gens.append([w.get(q, RE_ZERO) for q in range(n)])
         nxt = echelon_basis(gens)
         dims.append(len(nxt))
         if len(nxt) == 0 or len(nxt) == dims[-2]:
             return dims, dims[-1] == 0
-        basis = nxt
+        basis = [{q: x for q, x in enumerate(b) if not x.is_zero}
+                 for b in nxt]
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +533,24 @@ def _table_from_obj(obj, pointer: str) -> AlgebraTable:
     return AlgebraTable(name, dim, c, specs)
 
 
+def read_json_array(path, message: str) -> list:
+    """The JSON array a data file holds.  A file that is not valid JSON
+    raises CatalogError, and so does one that holds no array, with
+    message."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as err:      # JSONDecodeError, or text not UTF-8
+        raise CatalogError("", f"not valid JSON: {err}") from err
+    if not isinstance(raw, list):
+        raise CatalogError("", message)
+    return raw
+
+
 def load_catalog(path: Path | None = None):
     """Load the algebra catalog; returns a list of AlgebraTable."""
     if path is None:
         path = data_dir() / "catalog.json"
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise CatalogError("", f"not valid JSON: {err}") from err
-    if not isinstance(raw, list):
-        raise CatalogError("", "catalog must be an array of algebras")
+    raw = read_json_array(path, "catalog must be an array of algebras")
     tables = []
     names = set()
     for t, obj in enumerate(raw):
@@ -582,9 +570,7 @@ def load_errata(path: Path | None = None):
     """Transcription notes: printed readings that differ from the shipped tables."""
     if path is None:
         path = data_dir() / "errata.json"
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, list):
-        raise CatalogError("", "errata must be an array")
+    raw = read_json_array(path, "errata must be an array")
     for t, obj in enumerate(raw):
         if not isinstance(obj, dict) or not isinstance(obj.get("algebra"), str):
             raise CatalogError(f"/{t}", "erratum must name an algebra")

@@ -24,7 +24,6 @@ its first nonzero vector (ResidualTensor).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -41,6 +40,7 @@ from .algebra import (
     combined_bracket,
     data_dir,
     leibniz_residual,
+    read_json_array,
     sample_bindings,
     signed_sum,
     witness_dict,
@@ -150,9 +150,7 @@ def load_claimed_pairs(path: Path | None = None):
     """The claimed compatible pairs shipped with the catalog data."""
     if path is None:
         path = data_dir() / "claimed_compatible_pairs.json"
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, list):
-        raise CatalogError("", "claimed pairs must be an array")
+    raw = read_json_array(path, "claimed pairs must be an array")
     pairs = []
     for t, item in enumerate(raw):
         if (not isinstance(item, list) or len(item) != 2

@@ -31,6 +31,12 @@ arithmetic is int arithmetic; an int and the Fraction of equal value
 print, compare and hash alike, so the canonical parts change no value,
 no printed text and no hash.
 
+Reduction to F_p has one rule, scalar_mod_p: a real Scalar whose
+denominator p does not divide maps to numerator / denominator mod p, and
+anything else raises.  reduce_mod_p applies it to the value of a
+parameter-free RatExpr; fp applies it to each coefficient of a compiled
+system and to each constant of a compiled chart.
+
 Expression grammar accepted by parse_expr (EBNF, also in the README):
 
   expr     = term , { ("+" | "-") , term } ;
@@ -253,10 +259,6 @@ class Poly:
             self.terms = {m: c for m, c in terms.items() if not c.is_zero}
         else:
             self.terms = {}
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
 
     @staticmethod
     def const(c) -> "Poly":
@@ -572,13 +574,12 @@ def _poly_substitute(p: Poly, bindings: Mapping[str, RatExpr]) -> RatExpr:
     return total
 
 
-def reduce_mod_p(e: RatExpr, p: int) -> int:
-    """Reduce a parameter-free RatExpr to an element of F_p.
+def scalar_mod_p(v: Scalar, p: int) -> int:
+    """Reduce a Scalar to an element of F_p.
 
-    Raises NonRealValue when the value has a nonzero imaginary part and
-    NonInvertibleDenominator when p divides the denominator in lowest terms.
+    Raises NonRealValue when v has a nonzero imaginary part and
+    NonInvertibleDenominator when p divides its denominator in lowest terms.
     """
-    v = e.as_scalar()
     if not v.is_real:
         raise NonRealValue(f"cannot reduce {v} mod {p}: nonzero imaginary part")
     f = v.re
@@ -588,27 +589,29 @@ def reduce_mod_p(e: RatExpr, p: int) -> int:
     return (f.numerator * pow(f.denominator, -1, p)) % p
 
 
+def reduce_mod_p(e: RatExpr, p: int) -> int:
+    """Reduce a parameter-free RatExpr to an element of F_p (scalar_mod_p
+    of its value)."""
+    return scalar_mod_p(e.as_scalar(), p)
+
+
 # ---------------------------------------------------------------------------
 # printing
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)  # "3" or "3/2"; both re-parse to the same value
-
-
 def _scalar_str(c: Scalar) -> str:
     if not c.im:
-        return _frac_str(c.re)
+        return str(c.re)
     if not c.re:
         if c.im == 1:
             return "i"
         if c.im == -1:
             return "-i"
-        return f"{_frac_str(c.im)}*i"
+        return str(c.im) + "*i"
     im = c.im
     sign = "+" if im > 0 else "-"
     mag = abs(im)
-    imtxt = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    return f"{_frac_str(c.re)}{sign}{imtxt}"
+    imtxt = "i" if mag == 1 else str(mag) + "*i"
+    return str(c.re) + sign + imtxt
 
 
 def _mono_str(m: Monomial) -> str:
@@ -621,12 +624,12 @@ def _mono_str(m: Monomial) -> str:
 def _split_sign(c: Scalar):
     """(sign, magnitude-text) for use inside a sum; mixed values never flip sign."""
     if not c.im:
-        return ("-", _frac_str(-c.re)) if c.re < 0 else ("+", _frac_str(c.re))
+        return ("-", str(-c.re)) if c.re < 0 else ("+", str(c.re))
     if not c.re:
         if c.im < 0:
             mag = -c.im
-            return "-", ("i" if mag == 1 else f"{_frac_str(mag)}*i")
-        return "+", ("i" if c.im == 1 else f"{_frac_str(c.im)}*i")
+            return "-", ("i" if mag == 1 else str(mag) + "*i")
+        return "+", ("i" if c.im == 1 else str(c.im) + "*i")
     return "+", f"({_scalar_str(c)})"
 
 

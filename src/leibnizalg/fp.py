@@ -37,7 +37,9 @@ digits, reduced mod p after every operation.
 The compiled path has one kernel for every prime, too.  It multiplies
 each monomial out of its entries' planes with the field's product, scales
 the monomials by each distinct coefficient, and sums each equation
-pairwise with the field's sum.
+pairwise with the field's sum.  The coefficients are the bound system's,
+each reduced by exact.scalar_mod_p, the one rule that takes a constant to
+F_p: a bound system's denominators are all 1.
 
 The direct path has one kernel for every prime.  It reads only the
 structure constants and the weight mod p, reduced once per sweep with the
@@ -69,19 +71,20 @@ family's chart is compiled once and kept on the family, one form per prime.
 Most entries of the shipped charts are c*x: one free name to the first
 power times a constant, with no denominator.  When c is real and p does not
 divide its denominator, such an entry is always admissible and real, so it
-compiles to the triple (p^(r*n+c), c mod p, slot) and adds its digit
-c * x mod p at a point.  Every other entry, and every constraint, keeps the
-exact form: its numerator and denominator become Gaussian-integer terms
-over the free names with a positive common-denominator scale, and at a
-point the value a/b (b > 0) is decided over Q exactly as RatExpr.substitute
-and reduce_mod_p decide it: a vanishing denominator or a denominator that p
-still divides in lowest terms puts the point outside the chart, and a
-nonzero imaginary part raises NonRealValue.  The exact part is checked
-first, constraints then entries in row-major order, so the first
-inadmissible value still decides a point; the triples, which cannot fail,
-are summed after it.  The entries a parameter stands alone in with a unit
-coefficient are noted for reading that parameter off a matrix.  Ints are
-unbounded, so no width guard is needed at any prime.
+compiles to the triple (p^(r*n+c), c mod p, slot), c reduced by
+scalar_mod_p, and adds its digit c * x mod p at a point.  Every other
+entry, and every constraint, keeps the exact form: its numerator and
+denominator become Gaussian-integer terms over the free names with a
+positive common-denominator scale, and at a point the value a/b (b > 0)
+is decided over Q exactly as RatExpr.substitute and reduce_mod_p decide
+it: a vanishing denominator or a denominator that p still divides in
+lowest terms puts the point outside the chart, and a nonzero imaginary
+part raises NonRealValue.  The exact part is checked first, constraints
+then entries in row-major order, so the first inadmissible value still
+decides a point; the triples, which cannot fail, are summed after it.
+The entries a parameter stands alone in with a unit coefficient are noted
+for reading that parameter off a matrix.  Ints are unbounded, so no width
+guard is needed at any prime.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ from .exact import (
     RatExpr,
     Scalar,
     reduce_mod_p,
+    scalar_mod_p,
 )
 from .operators import OperatorFamily, OperatorKind, build_system
 
@@ -245,20 +249,6 @@ class CompiledSystem:
         return factors, tuple(int(c) for c in coefs), tuple(levels)
 
 
-def _quotient_mod_p(coef: Scalar, dval: Scalar, p: int) -> int:
-    """coef / dval in F_p, as reduce_mod_p decides it.  When both are real
-    and p divides neither the denominator of coef nor the numerator of
-    dval, the quotient's denominator is prime to p before any cancelling,
-    so it is reduced from the four integers directly; every other case,
-    and so every one that raises, goes through the exact quotient."""
-    if not coef.im and not dval.im:
-        cn, cd = coef.re.numerator, coef.re.denominator
-        dn, dd = dval.re.numerator, dval.re.denominator
-        if cd % p and dn % p:
-            return cn * dd * pow(cd * dn, -1, p) % p
-    return reduce_mod_p(RatExpr.const(coef / dval), p)
-
-
 def compile_system(table: AlgebraTable, kind: OperatorKind,
                    p: int) -> CompiledSystem:
     _check_prime(p)
@@ -272,11 +262,12 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
     mono_ids = {}
     monos = []
     columns = []
-    for eq, den in zip(sys.equations, sys.denominators):
-        dval = den.const_value()  # denominators collect only table constants
+    # in a bound system every denominator is 1, so an equation's
+    # coefficients are the residual's own
+    for eq in sys.equations:
         terms = {}
         for mono, coef in eq.terms.items():
-            cval = _quotient_mod_p(coef, dval, p)
+            cval = scalar_mod_p(coef, p)
             if cval == 0:
                 continue
             key = tuple((flat[nm], e) for nm, e in mono)
@@ -774,8 +765,7 @@ def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
             if lone is None:
                 exact.append((weight, _int_expr(e, slots, label)))
                 continue
-            f = coef.re
-            scale = f.numerator * pow(f.denominator, -1, p) % p
+            scale = scalar_mod_p(coef, p)
             linear.append((weight, scale, slots[lone]))
             if scale and lone not in seen:
                 seen.add(lone)
@@ -787,7 +777,12 @@ def _compile_chart(fam: OperatorFamily, p: int) -> _ChartForm:
 
 
 def _chart_form(fam: OperatorFamily, p: int) -> _ChartForm:
-    """The family's chart compiled for F_p, built once per prime."""
+    """The family's chart compiled for F_p, built once per prime.  A
+    malformed family or an unsupported p raises ValueError, checked before
+    the lookup, so that p = 2.0 never finds the form kept for p = 2."""
+    if fam.chart is None:
+        raise ValueError(f"{fam.label()} is malformed")
+    _check_prime(p)
     form = fam._chart_forms.get(p)
     if form is None:
         form = fam._chart_forms[p] = _compile_chart(fam, p)
@@ -903,11 +898,9 @@ def chart_membership(fam: OperatorFamily, m: int, p: int, *,
     p must be a supported prime and m an int in [0, p^(n*n)) for the
     chart's n; anything else raises ValueError.
     """
-    if fam.chart is None:
-        raise ValueError(f"{fam.label()} is malformed")
-    _check_prime(p)
+    form = _chart_form(fam, p)
     _check_counter(fam, m, p, p ** (len(fam.chart) ** 2))
-    return _chart_member(fam, _chart_form(fam, p), m, budget)
+    return _chart_member(fam, form, m, budget)
 
 
 def _check_counter(fam: OperatorFamily, m, p: int, bound: int):
@@ -934,9 +927,6 @@ def _chart_member(fam: OperatorFamily, form: _ChartForm, m: int,
 def family_solution_set(fam: OperatorFamily, p: int, *,
                         budget: int = DEFAULT_BUDGET) -> set:
     """All counter values the chart reaches over F_p (admissible points)."""
-    if fam.chart is None:
-        raise ValueError(f"{fam.label()} is malformed")
-    _check_prime(p)
     points = set(_chart_points(
         fam, _chart_form(fam, p), budget=budget,
         refusal="enumerating {p}^{k} assignments for {label} is over the "
@@ -953,9 +943,6 @@ def roundtrip_check(fam: OperatorFamily, p: int, *, samples: int = 100,
     once; each point then goes through membership's read-off and search
     (_chart_member), which never sees the point's assignment.
     """
-    if fam.chart is None:
-        raise ValueError(f"{fam.label()} is malformed")
-    _check_prime(p)
     form = _chart_form(fam, p)
     bound = p ** (len(fam.chart) ** 2)
     points = _chart_points(fam, form, rng=random.Random(seed))

@@ -20,13 +20,12 @@ iff every coordinate carrying it vanishes identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 from .algebra import AlgebraTable, CatalogError, ResidualTensor, \
-    algebra_sort_key, data_dir, signed_sum
+    algebra_sort_key, contract, data_dir, read_json_array, signed_sum
 from .exact import (
     DenominatorVanishes,
     ExprSyntaxError,
@@ -89,28 +88,15 @@ def operator_residual(table: AlgebraTable, kind: OperatorKind,
     n = table.dim
     if len(T) != n or any(len(row) != n for row in T):
         raise ValueError(f"operator matrix must be {n}x{n}")
-    # T's columns as sparse vectors, and its nonzero entries per row, as
-    # (k, T[q][k]) in ascending k
+    # T's columns as sparse vectors, and T v as the contraction over T's
+    # nonzero entries (k, q, T[q][k]) in ascending (q, k), so that each
+    # coordinate sums in ascending k
     cols = [{r: T[r][col] for r in range(n) if T[r][col].num.terms}
             for col in range(n)]
-    rows = [[(k, t) for k, t in enumerate(T[q]) if t.num.terms]
-            for q in range(n)]
+    apply_t = partial(contract, [(k, q, t) for q in range(n)
+                                 for k, t in enumerate(T[q]) if t.num.terms])
     weight = kind.weight
     c = table.sparse_c
-
-    def apply_t(vec):
-        out = {}
-        if vec:
-            for q, row in enumerate(rows):
-                s = None
-                for k, t in row:
-                    x = vec.get(k)
-                    if x is not None:
-                        x = t * x
-                        s = x if s is None else s + x
-                if s is not None and s.num.terms:
-                    out[q] = s
-        return out
 
     def coords(i, j):
         ti, tj = cols[i], cols[j]
@@ -323,9 +309,7 @@ def load_families(kind_name: str | None = None, path: Path | None = None):
             raise ValueError("need a kind name or an explicit path")
         fname = kind_name.replace("-", "_") + ".json"
         path = data_dir() / "families" / fname
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, list):
-        raise CatalogError("", "family file must be an array")
+    raw = read_json_array(path, "family file must be an array")
     fams = []
     parsed = {}
     for t, obj in enumerate(raw):

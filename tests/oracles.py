@@ -8,14 +8,17 @@ them before its vectors went sparse.  The dense-oracle tests read the
 library's sparse vectors densely (dense) and compare them with these,
 value by value and text by text.
 
-eager is strategies.eager for sparse vectors: the library's coords give
-sparse vectors, which strategies.EagerResidual reads densely here.
+eager computes a residual with every vector up front, the reference for
+ResidualTensor, which stops at the first nonzero vector: the library's
+coords give sparse vectors, which strategies.EagerResidual reads densely.
+vectors reads a residual's values back through walk, as dense lists.
+lower_central_series is the series over dense Scalar vectors.
 """
 
 from unittest import mock
 
-from leibnizalg.algebra import ResidualTensor
-from leibnizalg.exact import RE_ZERO
+from leibnizalg.algebra import ResidualTensor, echelon_basis
+from leibnizalg.exact import RE_ZERO, SC_ONE, SC_ZERO
 from strategies import EagerResidual
 
 
@@ -59,6 +62,38 @@ def signed_sum(terms, n: int) -> list:
                 else:
                     out[q] = s + x if plus else s - x
     return [RE_ZERO if s is None else s for s in out]
+
+
+def lower_central_series(table):
+    """(dims, nilpotent) of a bound table over dense Scalar vectors, each
+    bracket [u, e_j] summed over every structure constant."""
+    n = table.dim
+    cs = [[[e.as_scalar() for e in row] for row in plane] for plane in table.c]
+    basis = [[SC_ONE if q == t else SC_ZERO for q in range(n)]
+             for t in range(n)]
+    dims = [n]
+    while True:
+        gens = []
+        for u in basis:
+            for j in range(n):
+                w = [sum((u[a] * cs[a][j][q] for a in range(n)), SC_ZERO)
+                     for q in range(n)]
+                if any(not x.is_zero for x in w):
+                    gens.append(w)
+        basis = echelon_basis(gens)
+        dims.append(len(basis))
+        if not basis or len(basis) == dims[-2]:
+            return dims, not basis
+
+
+def vectors(residual) -> dict:
+    """{0-based basis tuple: the dense list of its coordinates}, read
+    through walk."""
+    tail = 2 if residual.conditions else 1
+    out = {}
+    for label, value in residual.walk():
+        out.setdefault(tuple(a - 1 for a in label[:-tail]), []).append(value)
+    return out
 
 
 def eager(residual, *args):

@@ -10,17 +10,13 @@ taken backwards print differently.
 
 unit is the basis vector the dense reference formulas bracket with; the
 library contracts over nonzero structure constants instead.
-
-eager computes a residual with every vector up front (EagerResidual), the
-reference for ResidualTensor, which stops at the first nonzero vector.
 """
 
 from itertools import product
-from unittest import mock
 
 from hypothesis import strategies as st
 
-from leibnizalg.algebra import AlgebraTable, ParamSpec, ResidualTensor
+from leibnizalg.algebra import AlgebraTable, ParamSpec
 from leibnizalg.exact import RE_ONE, RE_ZERO, parse_expr
 
 ENTRY_TEXTS = (
@@ -88,11 +84,3 @@ class EagerResidual:
 
     def holds(self, condition):
         return self.first_failure(condition) is None
-
-
-def eager(residual, *args):
-    """residual(*args) with ResidualTensor.tabulate building an
-    EagerResidual instead."""
-    with mock.patch.object(ResidualTensor, "tabulate",
-                           staticmethod(EagerResidual)):
-        return residual(*args)

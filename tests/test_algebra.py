@@ -1,5 +1,6 @@
 """Tests for structure-constant tables, residuals and the catalog."""
 
+import hashlib
 import json
 from unittest import mock
 
@@ -28,7 +29,7 @@ from leibnizalg.compat import mixed_residual
 from leibnizalg.exact import RE_ONE, RatExpr, Scalar, parse_expr
 from leibnizalg.operators import KIND_NAMES, make_kind, operator_residual
 import oracles
-from oracles import dense, eager, sparse
+from oracles import dense, eager, sparse, vectors
 from strategies import (
     ENTRY_TEXTS,
     EagerResidual,
@@ -173,11 +174,9 @@ class TestSparseContraction:
 
     def test_residual_is_zero_reads_every_coordinate(self):
         # the last coordinate alone is nonzero
-        n = 2
-        entries = {(i, j, k): [RatExpr.const(0)] * n
-                   for i in range(n) for j in range(n) for k in range(n)}
-        entries[1, 1, 1] = [RatExpr.const(0), parse_expr("1/(1-mu)")]
-        res = ResidualTensor(n, entries)
+        last = {1: parse_expr("1/(1-mu)")}
+        res = ResidualTensor.tabulate(
+            2, 3, lambda i, j, k: last if (i, j, k) == (1, 1, 1) else {})
         assert not res.is_zero
         assert res.first_failure()[:4] == (2, 2, 2, 2)
 
@@ -194,8 +193,6 @@ QUERIES = {
     "left": lambda r: r.holds("left"),
     "right": lambda r: r.holds("right"),
     "walk": walk_text,
-    "entries": lambda r: {index: [str(v) for v in vec]
-                          for index, vec in r.entries.items()},
 }
 
 
@@ -257,7 +254,7 @@ class TestEarlyStopping:
             assert not res.is_zero
             assert res.first_failure()[:4] == (1, 1, 1, 3)
             assert len(calls) == 1
-            assert len(res.entries) == 64 and len(calls) == 64
+            assert len(vectors(res)) == 64 and len(calls) == 64
             assert len(list(res.walk())) == 256 and len(calls) == 64
 
 
@@ -287,6 +284,26 @@ class TestLowerCentralSeries:
     def test_requires_bound_parameters(self, catalog):
         with pytest.raises(ValueError):
             lower_central_series(catalog["L4"])
+
+    def test_catalog_series_keep_their_digest(self):
+        # every catalog table at every sample binding, as one text
+        lines = []
+        for t in load_catalog():
+            for b in sample_bindings(t):
+                dims, nilpotent = lower_central_series(bind_params(t, b))
+                where = sorted((k, str(v)) for k, v in b.items())
+                lines.append(f"{t.name} {where} {dims} {nilpotent}")
+        assert len(lines) == 30
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "19abf35f9316a65d415444b257acc1768b04e1c4359b2d3d6bb716d002c9150f")
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims.flatmap(sparse_tables), st.sampled_from(("2", "1/3", "i")))
+    def test_series_matches_the_dense_scalar_series(self, table, mu):
+        bound = bind_params(table, {"mu": parse_expr(mu)})
+        assert lower_central_series(bound) \
+            == oracles.lower_central_series(bound)
 
 
 class TestParams:

@@ -648,6 +648,25 @@ def test_compat_scan_params_refusals(capsys, small_data_dir, pool, reason):
     assert reason in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("catalog.json", ("catalog", "list")),
+    ("errata.json", ("check-leibniz", "L4", "--as-printed")),
+    ("families/nijenhuis.json", ("verify", "--kind", "nijenhuis")),
+    ("families/nijenhuis.json", ("verify", "{file}")),
+    ("claimed_compatible_pairs.json", ("compat-scan",)),
+])
+def test_truncated_data_file_exits_two(capsys, tmp_path, name, argv):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir(), data)
+    path = data / name
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--data-dir", str(data))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -667,8 +686,9 @@ def test_text_and_json_agree_on_verdict(capsys):
 
 
 #: sha256 of stdout and the exit code of canonical commands, recorded before
-#: the exact core's Scalar parts became ints and its residual vectors sparse;
-#: any change to the exact core must leave these bytes as they are
+#: the exact core's Scalar parts became ints and its residual vectors sparse
+#: (the coverage and enumerate rows: before each exact rule was left with
+#: one copy); any change to the exact core must leave these bytes as they are
 GOLDEN = [
     (("verify", "--format", "json", "--symbolic-weight"), 1,
      "261bc60ce84d68b73f707d586865faacbf628683c74203a0a0034d84aa6dec4a"),
@@ -680,6 +700,11 @@ GOLDEN = [
      "a821555cd5b00cf0e9c47c6dfdf5d1669306e9d166ce55da4bc1550d72b5c54c"),
     (("equations", "L20", "--op", "rota-baxter", "--weight", "1/2"), 0,
      "656152f66237ee545b1bc666f13146e26676bc3ba3d47bdf9ae5a8b018856f39"),
+    (("coverage", "L1", "--op", "nijenhuis", "--format", "json"), 0,
+     "05a261fb79529e0098c880aad5e05078443dcf2f8c3b3e4a93566a3af3cd8e88"),
+    (("enumerate", "L17", "--op", "rota-baxter", "--limit", "0",
+      "--format", "json"), 0,
+     "da4d3f50bd3dd21b027624a5f82e13bc91314834fea029366716c9ea3856a539"),
 ]
 
 

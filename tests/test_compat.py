@@ -31,7 +31,7 @@ from leibnizalg.compat import (
 )
 from leibnizalg.exact import RE_ZERO, RatExpr
 import oracles
-from oracles import eager
+from oracles import eager, vectors
 from strategies import EagerResidual, dims, sparse_tables, unit, walk_text
 
 
@@ -52,15 +52,12 @@ def test_mixed_residual_of_equal_brackets_doubles_leibniz(cmap):
     for name in ("L1", "L4"):       # L4 keeps its parameter symbolic
         table = cmap[name]
         mixed = mixed_residual(table, table)
-        base = leibniz_residual(table)
-        n = table.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for q in range(n):
-                        lhs = mixed.entries[i, j, k][q]
-                        rhs = RatExpr.const(2) * base.entries[i, j, k][q]
-                        assert lhs == rhs
+        lhs = vectors(mixed)
+        rhs = vectors(leibniz_residual(table))
+        assert len(lhs) == table.dim ** 3
+        for index, vec in lhs.items():
+            assert all(x == RatExpr.const(2) * y
+                       for x, y in zip(vec, rhs[index], strict=True))
         assert mixed.is_zero    # catalog tables satisfy the Leibniz identity
 
 
@@ -112,12 +109,11 @@ def test_mixed_residual_dimension_mismatch():
 
 def test_mixed_residual_symmetric_in_the_two_brackets(cmap):
     a, b = cmap["L5"], cmap["L7"]
-    ab = mixed_residual(a, b)
-    ba = mixed_residual(b, a)
-    n = a.dim
-    assert all(ab.entries[i, j, k][q] == ba.entries[i, j, k][q]
-               for i in range(n) for j in range(n)
-               for k in range(n) for q in range(n))
+    ab = vectors(mixed_residual(a, b))
+    ba = vectors(mixed_residual(b, a))
+    assert len(ab) == a.dim ** 3
+    assert all(x == y for index, vec in ab.items()
+               for x, y in zip(vec, ba[index], strict=True))
 
 
 # ---------------------------------------------------------------------------

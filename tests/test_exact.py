@@ -182,7 +182,7 @@ names = st.sampled_from(["x", "y", "z"])
 @st.composite
 def polys(draw):
     n = draw(st.integers(min_value=0, max_value=4))
-    p = Poly.zero()
+    p = Poly()
     for _ in range(n):
         c = draw(scalars)
         mono = Poly.const(1)

@@ -28,6 +28,7 @@ from leibnizalg.exact import (
     Scalar,
     parse_expr,
     reduce_mod_p,
+    scalar_mod_p,
 )
 from leibnizalg.fp import (
     CoverageReport,
@@ -47,6 +48,7 @@ from leibnizalg.operators import (
     KIND_NAMES,
     OperatorFamily,
     load_families,
+    build_system,
     make_kind,
     operator_residual,
     verify_family,
@@ -534,16 +536,47 @@ def _scalars(p):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 5, 13)), st.data())
-def test_quotient_mod_p_matches_the_exact_reduction(p, data):
-    coef = data.draw(_scalars(p))
-    dval = data.draw(_scalars(p).filter(lambda s: not s.is_zero))
-    try:
-        want = reduce_mod_p(RatExpr.const(coef / dval), p)
-    except (NonRealValue, NonInvertibleDenominator) as err:
-        with pytest.raises(type(err)):
-            fp._quotient_mod_p(coef, dval, p)
+def test_scalar_mod_p_inverts_the_denominator(p, data):
+    v = data.draw(_scalars(p))
+    f = Fraction(v.re)
+    if not v.is_real:
+        with pytest.raises(NonRealValue):
+            scalar_mod_p(v, p)
+    elif f.denominator % p == 0:
+        with pytest.raises(NonInvertibleDenominator):
+            scalar_mod_p(v, p)
     else:
-        assert fp._quotient_mod_p(coef, dval, p) == want
+        r = scalar_mod_p(v, p)
+        assert 0 <= r < p and (r * f.denominator - f.numerator) % p == 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_compiled_coefficients_are_the_reduced_symbolic_ones(cmap, p):
+    # rota-baxter at weight 1/2: every bound system has Fraction
+    # coefficients, and every denominator is 1
+    kind = make_kind("rota-baxter", "1/2")
+    systems = 0
+    for table in cmap.values():
+        for binding in sample_bindings(table):
+            bound = bind_params(table, binding)
+            sys = build_system(bound, kind)
+            assert all(den == Poly.const(1) for den in sys.denominators)
+            flat = {name: t for t, name in enumerate(sys.unknowns)}
+            want = []
+            for eq in sys.equations:
+                terms = {}
+                for mono, coef in eq.terms.items():
+                    c = reduce_mod_p(RatExpr.const(coef), p)
+                    if c:
+                        terms[tuple((flat[nm], e) for nm, e in mono)] = c
+                if terms:
+                    want.append(terms)
+            cs = compile_system(bound, kind, p)
+            got = [{cs.monos[t]: int(col[t]) for t in np.flatnonzero(col)}
+                   for col in cs.coeffs.T]
+            assert got == want, (table.name, binding)
+            systems += 1
+    assert systems == 30
 
 
 def _int_kernel_sweep(table, kind):
@@ -907,7 +940,7 @@ _gauss = st.builds(Scalar,
 
 @st.composite
 def _polys(draw, coefs=_gauss):
-    poly = Poly.zero()
+    poly = Poly()
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         mono = Poly.const(1)
         for _ in range(draw(st.integers(min_value=0, max_value=3))):

@@ -32,6 +32,7 @@ from leibnizalg.operators import (
     verify_family,
 )
 import oracles
+from oracles import vectors
 from strategies import EagerResidual, dims, sparse_tables, unit, walk_text
 
 
@@ -219,10 +220,10 @@ def test_system_substitution_matches_direct_residual(cmap):
             sys = build_system(table, kind)
             binding = {f"{sys.unknowns[0][0]}{r}{c}": chart[r - 1][c - 1]
                        for r in range(1, 5) for c in range(1, 5)}
-            res = operator_residual(table, kind, chart)
+            res = vectors(operator_residual(table, kind, chart))
             for eq, den, (i, j, q, cond) in zip(sys.equations,
                                                 sys.denominators, sys.labels):
-                direct = res.entries[i - 1, j - 1]
+                direct = res[i - 1, j - 1]
                 t = q - 1 if cond in ("", "left") else 4 + q - 1
                 assert RatExpr(eq, den).substitute(binding) == direct[t], \
                     (name, kname, i, j, q, cond)
@@ -239,11 +240,11 @@ def test_system_substitution_matches_direct_residual_random(entries):
     sys = build_system(table, kind)
     binding = {f"k{r}{c}": chart[r - 1][c - 1]
                for r in range(1, 5) for c in range(1, 5)}
-    res = operator_residual(table, kind, chart)
+    res = vectors(operator_residual(table, kind, chart))
     for eq, den, (i, j, q, cond) in zip(sys.equations, sys.denominators,
                                         sys.labels):
         assert RatExpr(eq, den).substitute(binding) \
-            == res.entries[i - 1, j - 1][q - 1]
+            == res[i - 1, j - 1][q - 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -272,14 +273,14 @@ def test_rota_baxter_scaling_identity(cmap):
     table = cmap["L6"]
     T = unknown_matrix(4, "rota-baxter")
     w, c = RatExpr.var("w"), RatExpr.var("c")
-    base = operator_residual(table, make_kind("rota-baxter", w), T)
-    scaled = operator_residual(table, make_kind("rota-baxter", c * w),
-                               _scale_matrix(T, c))
+    base = vectors(operator_residual(table, make_kind("rota-baxter", w), T))
+    scaled = vectors(operator_residual(
+        table, make_kind("rota-baxter", c * w), _scale_matrix(T, c)))
     c2 = c * c
     for i in range(4):
         for j in range(4):
             for q in range(4):
-                assert scaled.entries[i, j][q] == c2 * base.entries[i, j][q]
+                assert scaled[i, j][q] == c2 * base[i, j][q]
 
 
 def test_nijenhuis_shift_by_identity_preserves_residual(cmap):
@@ -290,12 +291,12 @@ def test_nijenhuis_shift_by_identity_preserves_residual(cmap):
     shifted = [[T[r][s] + c if r == s else T[r][s] for s in range(4)]
                for r in range(4)]
     kind = make_kind("nijenhuis")
-    base = operator_residual(table, kind, T)
-    moved = operator_residual(table, kind, shifted)
+    base = vectors(operator_residual(table, kind, T))
+    moved = vectors(operator_residual(table, kind, shifted))
     for i in range(4):
         for j in range(4):
             for q in range(4):
-                assert moved.entries[i, j][q] == base.entries[i, j][q]
+                assert moved[i, j][q] == base[i, j][q]
 
 
 @settings(max_examples=20, deadline=None)
@@ -308,11 +309,11 @@ def test_rota_baxter_scaling_identity_random(entries, cval, wval):
     T = [[RatExpr.const(entries[4 * r + s]) for s in range(4)]
          for r in range(4)]
     c, w = RatExpr.const(cval), RatExpr.const(wval)
-    base = operator_residual(table, make_kind("rota-baxter", w), T)
-    scaled = operator_residual(table, make_kind("rota-baxter", c * w),
-                               _scale_matrix(T, c))
+    base = vectors(operator_residual(table, make_kind("rota-baxter", w), T))
+    scaled = vectors(operator_residual(
+        table, make_kind("rota-baxter", c * w), _scale_matrix(T, c)))
     c2 = c * c
-    assert all(scaled.entries[i, j][q] == c2 * base.entries[i, j][q]
+    assert all(scaled[i, j][q] == c2 * base[i, j][q]
                for i in range(4) for j in range(4) for q in range(4))
 
 
@@ -459,7 +460,7 @@ def test_averaging_conditions_reported_separately():
     table = _two_dim_table()
     T = [[RE_ZERO, RE_ZERO], [RE_ZERO, RE_ONE]]
     res = operator_residual(table, make_kind("averaging"), T)
-    assert all(len(vec) == 4 for vec in res.entries.values())
+    assert all(len(vec) == 4 for vec in vectors(res).values())
     hit = res.first_failure()
     assert hit is not None
     i, j, q, cond, value = hit
