@@ -705,6 +705,11 @@ GOLDEN = [
     (("enumerate", "L17", "--op", "rota-baxter", "--limit", "0",
       "--format", "json"), 0,
      "da4d3f50bd3dd21b027624a5f82e13bc91314834fea029366716c9ea3856a539"),
+    # recorded before the compiled sweep skipped dead prefixes
+    (("enumerate", "L17", "--op", "rota-baxter", "--field", "3",
+      "--budget", "43046721", "--limit", "0", "--path", "compiled",
+      "--format", "json"), 0,
+     "b82b20e1123c4b2dff30ba0a8e3282ef49d0a30bf60b235a792a1757b532bd68"),
 ]
 
 
