@@ -534,11 +534,13 @@ def _table_from_obj(obj, pointer: str) -> AlgebraTable:
 
 
 def read_json_array(path, message: str) -> list:
-    """The JSON array a data file holds.  A file that is not valid JSON
-    raises CatalogError, and so does one that holds no array, with
-    message."""
+    """The JSON array a data file holds.  A file that cannot be read (a
+    missing one, or a directory in its place) or is not valid JSON raises
+    CatalogError, and so does one that holds no array, with message."""
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise CatalogError("", f"cannot read: {err}") from err
     except ValueError as err:      # JSONDecodeError, or text not UTF-8
         raise CatalogError("", f"not valid JSON: {err}") from err
     if not isinstance(raw, list):

@@ -55,12 +55,26 @@ values below p, must fit int64.
 A sweep walks aligned blocks of p^k matrices in this process: p^k <= 2^14
 at p <= 3, where a digit is one bit, and p^k <= 2^14 / n^2 above, where it
 is an int64 (625 matrices at p = 5 in dimension 4, whose direct kernel
-then peaks at a few MB).  Within one, the counter's k digits above a
-shard's row run through a pattern that is the same in every block, and
-every other digit is fixed.  So at every prime the planes of a block are
-read off the counter: the field record encodes the pattern's digits once
-per (p, k), and a fixed digit's plane is that digit's encoding at every
+then peaks at a few MB).  Within one, the counter's k most significant
+digits, the last rows of T, run through a pattern that is the same in
+every block, and the digits below them, the block's prefix (a shard's row
+among them), are fixed.  So at every prime the planes of a block are read
+off the counter: the field record encodes the pattern's digits once per
+(p, k), and a fixed digit's plane is that digit's encoding at every
 matrix.  No matrix is decoded digit by digit.
+
+The prefixes run in ascending order, and the compiled path skips every
+dead one: a prefix under which some equation of the system, restricted to
+the prefix's digits, is a nonzero constant mod p.  No matrix in its block
+is a solution, so the solutions are the same.  Each monomial splits once
+per prefix length into a factor the prefix fixes and a part the block
+varies (CompiledSystem.dead_check), and the prefixes are checked in
+bounded batches.  Only the compiled path prunes: the check reads the
+symbolic system, and the direct path must stay independent of it, so it
+walks every block, and the two paths' agreement also checks that no
+skipped block held a solution.  At p = 3 the 6561 prefixes of a whole
+sweep fix the first two rows; L17 rota-baxter leaves 59 of them live, L9
+reynolds 82 and L1 nijenhuis 225.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -247,6 +261,51 @@ class CompiledSystem:
             rows = np.argsort(eqs, kind="stable")
             eqs = eqs[rows]
         return factors, tuple(int(c) for c in coefs), tuple(levels)
+
+    @cached_property
+    def _dead_checks(self) -> dict:
+        return {}           # dead_check's arrays, by s
+
+    def dead_check(self, s: int) -> tuple:
+        """Arrays that find the prefixes of digits 0 .. s - 1 (the entries
+        sweep_shard fixes in a block) under which some equation is a
+        nonzero constant, built once per s.
+
+        Each monomial splits into a fixed factor, its entries below s, and
+        a varying part, its entries from s up.  Under a prefix an
+        equation's terms merge by varying part, each part's coefficient
+        the sum of its terms' coefficients times their fixed factors; the
+        equation is a nonzero constant when the coefficient of the empty
+        part is nonzero and every other is zero.  Only equations with a
+        term of empty varying part can be, and only their terms are kept.
+
+        Returns (fixed, mono, coef, slots, eqs).  Row u of fixed lists the
+        entries of the fixed factor of kept monomial u, padded with the
+        index s of a column of ones.  The kept terms are mono (the
+        monomial) and coef, grouped by (equation, varying part), each
+        equation's group of empty part first; slots holds where each group
+        starts, and eqs where each equation's groups start in slots.
+        """
+        check = self._dead_checks.get(s)
+        if check is not None:
+            return check
+        factors, n2 = self.plan[0], self.n * self.n
+        # a varying part's key: its entries t from s up, as t - s + 1, are
+        # the key's digits in base n2 + 1, ascending; 0 when it is empty
+        varying = np.where((factors >= s) & (factors < n2), factors - s + 1, 0)
+        varying.sort(axis=1)
+        part = varying @ (n2 + 1) ** np.arange(factors.shape[1])
+        coeffs = self.coeffs[:, self.coeffs[part == 0].any(axis=0)]
+        mid, eq = np.nonzero(coeffs)
+        # the kept terms by equation, then by varying part, the empty first
+        key = eq * (int(part.max(initial=0)) + 1) + part[mid]
+        order = np.argsort(key, kind="stable")
+        key, mid, eq = key[order], mid[order], eq[order]
+        opens = np.flatnonzero(np.diff(key, prepend=-1))
+        check = (np.where(factors < s, factors, s), mid, coeffs[mid, eq],
+                 opens, np.flatnonzero(np.diff(eq[opens], prepend=-1)))
+        self._dead_checks[s] = check
+        return check
 
 
 def compile_system(table: AlgebraTable, kind: OperatorKind,
@@ -654,28 +713,78 @@ def sweep_shard(evaluate, n: int, p: int,
     an int64 above, so a block holds at most 2^14 / n^2 matrices.  The
     direct kernel's intermediates hold several hundred int64 per matrix in
     dimension 4; a 5^6 block of L1 nijenhuis peaked at 86 MB, a 5^4 one
-    at 2.8 MB.  Within a block the counter's k digits above the shard's
-    row run through all their values and every other digit is fixed, so
-    _digit_block reads the block's planes off the counter at every prime,
-    and the kernel takes those.
+    at 2.8 MB.
+
+    A block varies the k most significant digits, the last rows of T, and
+    fixes the s = n*n - k digits below them, its prefix: a shard's row and
+    the digits above it, or all s digits of a whole sweep.  So _digit_block
+    reads the block's planes off the counter at every prime, and the
+    kernel takes those.  The prefixes run in ascending order
+    (_live_prefixes), and for the compiled kernel only, a dead prefix, one
+    under which some equation is a nonzero constant mod p, is skipped.
+    Any other kernel, the direct one included, is given every block, so a
+    direct sweep is the oracle that no skipped block held a solution.  A
+    block's counter values are interleaved with the other blocks', so the
+    hits are sorted once at the end.  No array of all p^s prefixes is
+    built: they are made and checked in bounded batches as the walk goes.
     """
-    total = p ** (n * n)
-    first, stride = 0, 1
+    n2 = n * n
+    first, step = 0, 1
     if shard is not None:
-        first, stride = shard, p ** n
-        if not 0 <= shard < stride:
-            raise ValueError(f"shard must lie in [0, {stride})")
-    span = total // stride
-    size = 1
-    words = _BLOCK * 64 // (n * n * _field(p).bits)
+        first, step = shard, p ** n
+        if not 0 <= shard < step:
+            raise ValueError(f"shard must lie in [0, {step})")
+    span = p ** n2 // step
+    size, k = 1, 0
+    words = _BLOCK * 64 // (n2 * _field(p).bits)
     while size * p <= min(_BLOCK, span, words):
-        size *= p
-    hits = []
-    for start in range(0, span, size):
-        idx = first + stride * np.arange(start, start + size, dtype=np.int64)
-        mask = evaluate(_digit_block(idx, n * n, p, stride))
+        size, k = size * p, k + 1
+    stride = p ** (n2 - k)
+    # one array holds each block's counter values in turn, moved in place
+    idx, at = stride * np.arange(size, dtype=np.int64), 0
+    hits = [np.empty(0, np.int64)]
+    for prefix in _live_prefixes(evaluate, p, n2 - k, first, step,
+                                 span // size):
+        idx += prefix - at
+        at = prefix
+        mask = evaluate(_digit_block(idx, n2, p, stride))
         hits.append(idx[mask[:size]])
-    return np.concatenate(hits)
+    return np.sort(np.concatenate(hits))
+
+
+def _live_prefixes(evaluate, p: int, s: int, first: int, step: int,
+                   count: int):
+    """The prefixes of sweep_shard's blocks, ascending: first + step * j
+    for j below count, the counter values of digits 0 .. s - 1.
+
+    A kernel other than the compiled one gets every prefix.  The compiled
+    kernel's are checked in batches of at most _BLOCK terms' values by its
+    system's dead_check(s), and a prefix under which some equation is a
+    nonzero constant is skipped: no matrix of its block is a solution.
+    Each product is reduced mod p before it is summed, so no value passes
+    (p - 1)^2, which sweep_kernel bounds.
+    """
+    if not (isinstance(evaluate, partial) and evaluate.func is _compiled_mask):
+        yield from range(first, first + step * count, step)
+        return
+    fixed, mono, coef, slots, eqs = evaluate.args[0].dead_check(s)
+    if not eqs.size:
+        yield from range(first, first + step * count, step)
+        return
+    powers = p ** np.arange(s, dtype=np.int64)
+    batch = max(1, _BLOCK // max(coef.size, len(fixed)))
+    for start in range(0, count, batch):
+        prefixes = first + step * np.arange(start, min(start + batch, count),
+                                            dtype=np.int64)
+        digits = np.ones((prefixes.size, s + 1), np.int64)
+        digits[:, :s] = prefixes[:, None] // powers % p
+        value = digits[:, fixed[:, 0]]        # each kept monomial's factor
+        for d in range(1, fixed.shape[1]):
+            value = value * digits[:, fixed[:, d]] % p
+        nonzero = np.add.reduceat(value[:, mono] * coef % p, slots,
+                                  axis=1) % p != 0
+        dead = nonzero[:, eqs] & (np.add.reduceat(nonzero, eqs, axis=1) == 1)
+        yield from prefixes[~dead.any(axis=1)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +976,10 @@ def _chart_points(fam: OperatorFamily, form: _ChartForm, *,
     Without rng the names left open run over all of F_p, and their p^k
     cases are refused past the budget with refusal, formatted with p, k,
     label and budget.  With rng they take fresh random values at each
-    point, without end.
+    point, without end: each open name in slot order is drawn by the
+    rejection loop of rng.randrange(p), getrandbits of p's bit length
+    until a value below p comes, so the values and the stream are
+    randrange's.
     """
     p = form.p
     values = [None] * len(fam.free)
@@ -875,13 +987,18 @@ def _chart_points(fam: OperatorFamily, form: _ChartForm, *,
         values[slot] = value
     rest = [s for s, v in enumerate(values) if v is None]
     if rng is not None:
-        combos = iter(lambda: [rng.randrange(p) for _ in rest], None)
-    elif p ** len(rest) > budget:
+        bits, width = rng.getrandbits, p.bit_length()
+        while True:
+            for slot in rest:
+                value = bits(width)
+                while value >= p:
+                    value = bits(width)
+                values[slot] = value
+            yield _eval_chart(form, values)
+    if p ** len(rest) > budget:
         raise RefusedSize(refusal.format(p=p, k=len(rest), label=fam.label(),
                                          budget=budget))
-    else:
-        combos = iter_product(range(p), repeat=len(rest))
-    for combo in combos:
+    for combo in iter_product(range(p), repeat=len(rest)):
         for slot, value in zip(rest, combo):
             values[slot] = value
         yield _eval_chart(form, values)
@@ -914,10 +1031,14 @@ def _check_counter(fam: OperatorFamily, m, p: int, bound: int):
 def _chart_member(fam: OperatorFamily, form: _ChartForm, m: int,
                   budget: int) -> bool:
     """chart_membership of a checked counter value m over form's prime:
-    the read-off, then the search."""
+    the read-off, then the search, or the one point the read-off fixes
+    when it fixes every name (a budget below 1 is refused either way)."""
     p = form.p
     forced = {slot: m // weight % p * inv % p
               for weight, slot, inv in form.read_off}
+    if len(forced) == len(fam.free) and budget >= 1:
+        # the read-off fixes every name: one point, no search
+        return _eval_chart(form, [forced[s] for s in range(len(forced))]) == m
     return m in _chart_points(
         fam, form, forced=forced, budget=budget,
         refusal="membership fallback needs {p}^{k} cases for {label}, "

@@ -10,6 +10,9 @@ taken backwards print differently.
 
 unit is the basis vector the dense reference formulas bracket with; the
 library contracts over nonzero structure constants instead.
+
+mod_tables draws bound tables of constants below a prime, for the F_p
+sweep kernels and walks.
 """
 
 from itertools import product
@@ -17,7 +20,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from leibnizalg.algebra import AlgebraTable, ParamSpec
-from leibnizalg.exact import RE_ONE, RE_ZERO, parse_expr
+from leibnizalg.exact import RE_ONE, RE_ZERO, RatExpr, parse_expr
 
 ENTRY_TEXTS = (
     "1", "-1", "2", "-3/2", "i", "1+i", "-2/3*i",
@@ -46,6 +49,21 @@ def sparse_tables(draw, dim: int, name: str = "T"):
 
 
 dims = st.integers(min_value=2, max_value=4)
+
+
+@st.composite
+def mod_tables(draw, p, dims=(2, 4)):
+    """A random table of structure constants in [0, p) (not necessarily
+    Leibniz: the kernels evaluate the operator identity for any bracket),
+    of a dimension in the closed range dims.  Like the catalog's tables,
+    many are sparse."""
+    n = draw(st.integers(*dims))
+    pool = (0,) * draw(st.sampled_from((1, 4, 16))) + tuple(range(1, p))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=n ** 3,
+                           max_size=n ** 3))
+    c = [[[RatExpr.const(digits[(i * n + j) * n + k]) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    return AlgebraTable("random", n, c)
 
 
 def walk_text(residual):

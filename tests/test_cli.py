@@ -594,6 +594,16 @@ def test_output_to_missing_directory_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_output_onto_a_directory_exits_one(capsys, tmp_path):
+    # an output that cannot be written keeps exit 1, while an unreadable
+    # data file exits 2
+    (tmp_path / "f.json").mkdir()
+    code, out, err = run(capsys, "catalog", "list",
+                         "--output", str(tmp_path / "f.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_data_dir_flag_overrides_default(capsys, small_data_dir):
     code, out, _ = run(capsys, "catalog", "list",
                        "--data-dir", str(small_data_dir))
@@ -667,6 +677,30 @@ def test_truncated_data_file_exits_two(capsys, tmp_path, name, argv):
     assert err.startswith("error: ") and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("catalog.json", ("catalog", "list")),
+    ("errata.json", ("check-leibniz", "L4", "--as-printed")),
+    ("families/nijenhuis.json", ("verify", "--kind", "nijenhuis")),
+    ("families/nijenhuis.json", ("verify", "{file}")),
+    ("claimed_compatible_pairs.json", ("compat-scan",)),
+])
+@pytest.mark.parametrize("damage", ["missing", "directory"])
+def test_unreadable_data_file_exits_two(capsys, tmp_path, name, argv,
+                                        damage):
+    # a data file that cannot be read is refused like an invalid one, not
+    # reported as a failing verdict (exit 1)
+    data = tmp_path / "data"
+    shutil.copytree(data_dir(), data)
+    path = data / name
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--data-dir", str(data))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cannot read" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -705,9 +739,14 @@ GOLDEN = [
     (("enumerate", "L17", "--op", "rota-baxter", "--limit", "0",
       "--format", "json"), 0,
      "da4d3f50bd3dd21b027624a5f82e13bc91314834fea029366716c9ea3856a539"),
-    # recorded before the compiled sweep skipped dead prefixes
+    # recorded before the compiled sweep skipped dead prefixes; the direct
+    # path, which walks every block, prints the same bytes
     (("enumerate", "L17", "--op", "rota-baxter", "--field", "3",
       "--budget", "43046721", "--limit", "0", "--path", "compiled",
+      "--format", "json"), 0,
+     "b82b20e1123c4b2dff30ba0a8e3282ef49d0a30bf60b235a792a1757b532bd68"),
+    (("enumerate", "L17", "--op", "rota-baxter", "--field", "3",
+      "--budget", "43046721", "--limit", "0", "--path", "direct",
       "--format", "json"), 0,
      "b82b20e1123c4b2dff30ba0a8e3282ef49d0a30bf60b235a792a1757b532bd68"),
 ]

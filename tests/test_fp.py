@@ -1,6 +1,8 @@
 """Tests for the finite-field brute-force oracle."""
 
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 import time
@@ -53,6 +55,7 @@ from leibnizalg.operators import (
     operator_residual,
     verify_family,
 )
+from strategies import mod_tables
 
 
 @pytest.fixture(scope="module")
@@ -236,21 +239,6 @@ def test_compiled_system_shape(cmap):
 
 # ---------------------------------------------------------------------------
 # sweep kernels against the integer kernels
-
-@st.composite
-def mod_tables(draw, p, dims=(2, 4)):
-    """A random table of structure constants in [0, p) (not necessarily
-    Leibniz: the kernels evaluate the operator identity for any bracket),
-    of a dimension in the closed range dims.  Like the catalog's tables,
-    many are sparse."""
-    n = draw(st.integers(*dims))
-    pool = (0,) * draw(st.sampled_from((1, 4, 16))) + tuple(range(1, p))
-    digits = draw(st.lists(st.sampled_from(pool), min_size=n ** 3,
-                           max_size=n ** 3))
-    c = [[[RatExpr.const(digits[(i * n + j) * n + k]) for k in range(n)]
-          for j in range(n)] for i in range(n)]
-    return AlgebraTable("random", n, c)
-
 
 @st.composite
 def kinds(draw):
@@ -479,6 +467,97 @@ def test_small_sweeps_match_the_int_kernels(p, data):
         parts = [solution_indices(table, kind, p, path=path, shard=s)
                  for s in range(p ** n)]
         assert np.sort(np.concatenate(parts)).tolist() == want
+
+
+def _every_block(evaluate):
+    """The kernel behind a callable that is not the compiled kernel, so
+    that sweep_shard walks every block for it: the unpruned reference
+    walk."""
+    return lambda planes: evaluate(planes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_pruned_sweeps_match_direct_and_unpruned_walks(p, data):
+    # whole sweeps and every shard of tables of dimension 1 to 3 (1 to 2
+    # at p = 5, where 5^9 matrices per walk take seconds), walked with
+    # the module's block bound, with one of 2^8, under which a walk has
+    # up to 81 prefixes and the prefix check runs in several batches, and
+    # up to 81 matrices with blocks of one matrix, whose prefix is all of
+    # it
+    table = data.draw(mod_tables(p, dims=(1, 2 if p == 5 else 3)))
+    kind = data.draw(kinds())
+    n = table.dim
+    bounds = (fp._BLOCK, 1 << 8) + ((1,) if p ** (n * n) <= 81 else ())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fp, "_BLOCK", data.draw(st.sampled_from(bounds)))
+        compiled = sweep_kernel(table, kind, p)
+        direct = sweep_kernel(table, kind, p, path="direct")
+        for shard in [None, *range(p ** n)]:
+            want = sweep_shard(direct, n, p, shard).tolist()
+            assert sweep_shard(compiled, n, p, shard).tolist() == want
+            assert sweep_shard(_every_block(compiled), n, p,
+                               shard).tolist() == want
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The first counter value of every block sweep_shard evaluates: its
+    prefix, the block's fixed low digits."""
+    firsts, digit_block = [], fp._digit_block
+
+    def recorded(idx, n2, p, stride):
+        firsts.append(int(idx[0]))
+        return digit_block(idx, n2, p, stride)
+    monkeypatch.setattr(fp, "_digit_block", recorded)
+    return firsts
+
+
+#: combos whose full p = 3 compiled sweep evaluates only the blocks of
+#: its live prefixes: (table, kind, live blocks of 3^8, solutions)
+_PRUNED = [("L17", "rota-baxter", 59, 10935), ("L9", "reynolds", 82, 1701),
+           ("L1", "nijenhuis", 225, 1701)]
+
+
+@pytest.mark.parametrize("name, kname, _, __", _PRUNED)
+def test_pruned_prefixes_hold_no_direct_solution(cmap, walked, name, kname,
+                                                 _, __):
+    # shard 0 and three sampled shards: the direct path walks all 81
+    # blocks of a shard, and every solution it finds lies in a block the
+    # compiled path walked too
+    kind = make_kind(kname)
+    compiled = sweep_kernel(cmap[name], kind, 3, budget=3 ** 16)
+    direct = sweep_kernel(cmap[name], kind, 3, budget=3 ** 16,
+                          path="direct")
+    shards = [0] + random.Random(name).sample(range(1, 81), 3)
+    pruned = 0
+    for shard in shards:
+        walked.clear()
+        got = sweep_shard(compiled, 4, 3, shard)
+        live = set(walked)
+        walked.clear()
+        want = sweep_shard(direct, 4, 3, shard)
+        assert len(set(walked)) == 81 and live <= set(walked)
+        assert got.tolist() == want.tolist()
+        assert {m % 3 ** 8 for m in want.tolist()} <= live
+        pruned += 81 - len(live)
+    assert pruned
+
+
+@pytest.mark.parametrize("name, kname, blocks, count", _PRUNED)
+def test_full_p3_compiled_sweep_walks_only_live_blocks(cmap, walked, name,
+                                                       kname, blocks, count):
+    # the 3^8 blocks of a whole sweep vary the last two rows; the compiled
+    # path skips every prefix of the first two under which some equation
+    # is a nonzero constant, and the direct path is given all 6561
+    kind = make_kind(kname)
+    got = solution_indices(cmap[name], kind, 3, budget=3 ** 16)
+    assert len(walked) == blocks and walked == sorted(walked)
+    assert got.size == count and (np.diff(got) > 0).all()
+    direct = sweep_kernel(cmap[name], kind, 3, budget=3 ** 16,
+                          path="direct")
+    assert list(fp._live_prefixes(direct, 3, 8, 0, 1, 3 ** 8)) == list(
+        range(3 ** 8))
 
 
 def _first_block_peak(evaluate, n, p):
@@ -845,6 +924,67 @@ def test_roundtrip_membership(cmap, family_index):
         out = roundtrip_check(fam, 2, samples=25)
         assert out["ok"], out
         assert out["checked"] > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 31 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 25])
+def test_chart_draws_are_randrange_draws(p, seed):
+    # each point draws the open names in slot order, a forced one is
+    # skipped, and the generator leaves the stream where randrange would
+    chart = [[parse_expr(e) for e in row] for row in (("x", "y"), ("z", "0"))]
+    fam = OperatorFamily("T", "nijenhuis", 1, chart, ("x", "y", "z"), (),
+                         False)
+    form = fp._chart_form(fam, p)
+    for forced in ({}, {1: p - 1}):
+        rng, ref = random.Random(seed), random.Random(seed)
+        points = fp._chart_points(fam, form, forced=forced, rng=rng)
+        for _ in range(40):
+            (x, y), (z, _) = matrix_rows(next(points), 2, p)
+            want = [ref.randrange(p) if slot not in forced else forced[slot]
+                    for slot in range(3)]
+            assert [x, y, z] == want
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_membership_evaluates_a_fully_read_off_point(monkeypatch):
+    # every name stands alone in an entry, so the read-off fixes the point
+    # and no search runs; a budget below 1 is still refused
+    chart = [[parse_expr(e) for e in row]
+             for row in (("x", "2*y"), ("x*y", "0"))]
+    fam = OperatorFamily("T", "nijenhuis", 1, chart, ("x", "y"), (), False)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the membership search ran")
+    point = 2 + 5 * (2 * 4 % 5) + 25 * (2 * 4 % 5)   # x = 2, y = 4
+    with monkeypatch.context() as patch:
+        patch.setattr(fp, "_chart_points", no_search)
+        assert chart_membership(fam, point, 5, budget=1) is True
+        assert chart_membership(fam, point + 25, 5, budget=1) is False
+    with pytest.raises(RefusedSize):
+        chart_membership(fam, point, 5, budget=0)
+
+
+#: sha256 of the JSON list of roundtrip_check's dicts (or the error each
+#: raises) over every shipped verified family, recorded when each open
+#: name was drawn by rng.randrange(p) and membership always searched
+_ROUNDTRIP_DIGEST = (
+    "737f2992ab936286582b27cea6f4ee1ac7e453420ba3b91a075d9a2d5f0bd5df")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_roundtrip_dicts_are_unchanged_on_verified_families(cmap, families,
+                                                            p):
+    outs = []
+    for fam in families:
+        if fam.malformed or not verify_family(cmap[fam.algebra], fam).holds:
+            continue
+        try:
+            outs.append(roundtrip_check(fam, p))
+        except (NonRealValue, NonInvertibleDenominator) as err:
+            outs.append({"family": fam.label(), "raises": type(err).__name__})
+    assert len(outs) == 225
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == _ROUNDTRIP_DIGEST
 
 
 @pytest.mark.parametrize("check", [roundtrip_check, family_solution_set])
