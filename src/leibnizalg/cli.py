@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -370,6 +369,9 @@ def _sweep(args):
     workers = min(p ** n, os.cpu_count() or 1)
     if p ** (n * n) <= DEFAULT_BUDGET or workers == 1:
         return source, params, table, kind, p, sweep_shard(evaluate, n, p)
+    # imported only here, so that no other command loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Executor.map submits a job for every item before it yields a result,
     # so the shards go to it in batches of a few per worker
     shards, batch, parts = p ** n, 4 * workers, []

@@ -66,15 +66,16 @@ matrix.  No matrix is decoded digit by digit.
 The prefixes run in ascending order, and the compiled path skips every
 dead one: a prefix under which some equation of the system, restricted to
 the prefix's digits, is a nonzero constant mod p.  No matrix in its block
-is a solution, so the solutions are the same.  Each monomial splits once
-per prefix length into a factor the prefix fixes and a part the block
-varies (CompiledSystem.dead_check), and the prefixes are checked in
-bounded batches.  Only the compiled path prunes: the check reads the
-symbolic system, and the direct path must stay independent of it, so it
-walks every block, and the two paths' agreement also checks that no
-skipped block held a solution.  At p = 3 the 6561 prefixes of a whole
-sweep fix the first two rows; L17 rota-baxter leaves 59 of them live, L9
-reynolds 82 and L1 nijenhuis 225.
+is a solution, so the solutions are the same.  The compiled kernel is
+the CompiledSystem itself, and it yields its own live prefixes
+(CompiledSystem.live_prefixes): each monomial splits once per sweep into
+a factor the prefix fixes and a part the block varies, and the prefixes
+are checked in bounded batches.  Only the compiled path prunes: the
+check reads the symbolic system, and the direct path must stay
+independent of it, so it walks every block, and the two paths'
+agreement also checks that no skipped block held a solution.  At p = 3
+the 6561 prefixes of a whole sweep fix the first two rows; L17
+rota-baxter leaves 59 of them live, L9 reynolds 82 and L1 nijenhuis 225.
 
 Charts arrive with the table's parameter values already substituted
 exactly by bind_family, so every name still free in a chart is an operator
@@ -108,7 +109,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product as iter_product
-from math import gcd, lcm, log
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -201,7 +202,10 @@ def matrix_rows(m: int, n: int, p: int) -> list:
 
 @dataclass
 class CompiledSystem:
-    """Equation coefficients over F_p, ready for vectorized evaluation.
+    """Equation coefficients over F_p, ready for vectorized evaluation,
+    and the compiled sweep kernel (sweep_kernel): called on a block's
+    planes it gives the mask of its solutions, and live_prefixes gives
+    sweep_shard the prefixes whose blocks can hold one.
 
     monos[t] is a monomial in the flattened matrix entries, as a tuple of
     (flat_position, exponent); coeffs[t][k] is the coefficient of monomial t
@@ -262,14 +266,17 @@ class CompiledSystem:
             eqs = eqs[rows]
         return factors, tuple(int(c) for c in coefs), tuple(levels)
 
-    @cached_property
-    def _dead_checks(self) -> dict:
-        return {}           # dead_check's arrays, by s
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        """The compiled kernel: the mask of a block's solutions
+        (_compiled_mask)."""
+        return _compiled_mask(self, block)
 
-    def dead_check(self, s: int) -> tuple:
-        """Arrays that find the prefixes of digits 0 .. s - 1 (the entries
-        sweep_shard fixes in a block) under which some equation is a
-        nonzero constant, built once per s.
+    def live_prefixes(self, s: int, first: int, step: int, count: int):
+        """The live prefixes of sweep_shard's blocks, ascending: of first +
+        step * j for j below count, the counter values of digits 0 .. s - 1
+        (the entries a block fixes), those under which no equation is a
+        nonzero constant mod p.  No matrix of a dead prefix's block is a
+        solution.
 
         Each monomial splits into a fixed factor, its entries below s, and
         a varying part, its entries from s up.  Under a prefix an
@@ -279,33 +286,49 @@ class CompiledSystem:
         part is nonzero and every other is zero.  Only equations with a
         term of empty varying part can be, and only their terms are kept.
 
-        Returns (fixed, mono, coef, slots, eqs).  Row u of fixed lists the
-        entries of the fixed factor of kept monomial u, padded with the
-        index s of a column of ones.  The kept terms are mono (the
-        monomial) and coef, grouped by (equation, varying part), each
-        equation's group of empty part first; slots holds where each group
-        starts, and eqs where each equation's groups start in slots.
+        Row u of fixed lists the entries of the fixed factor of monomial u,
+        padded with the index s of a column of ones.  The kept terms are
+        mono (the monomial) and coef, grouped by (equation, varying part),
+        each equation's group of empty part first; slots holds where each
+        group starts, and eqs where each equation's groups start in slots.
+        The prefixes are checked in batches of at most _BLOCK terms'
+        values, and each product is reduced mod p before it is summed, so
+        no value passes (p - 1)^2, which sweep_kernel bounds.
         """
-        check = self._dead_checks.get(s)
-        if check is not None:
-            return check
-        factors, n2 = self.plan[0], self.n * self.n
+        p, n2, factors = self.p, self.n * self.n, self.plan[0]
         # a varying part's key: its entries t from s up, as t - s + 1, are
         # the key's digits in base n2 + 1, ascending; 0 when it is empty
         varying = np.where((factors >= s) & (factors < n2), factors - s + 1, 0)
         varying.sort(axis=1)
         part = varying @ (n2 + 1) ** np.arange(factors.shape[1])
         coeffs = self.coeffs[:, self.coeffs[part == 0].any(axis=0)]
-        mid, eq = np.nonzero(coeffs)
+        mono, eq = np.nonzero(coeffs)
+        if not eq.size:
+            yield from range(first, first + step * count, step)
+            return
         # the kept terms by equation, then by varying part, the empty first
-        key = eq * (int(part.max(initial=0)) + 1) + part[mid]
+        key = eq * (int(part.max(initial=0)) + 1) + part[mono]
         order = np.argsort(key, kind="stable")
-        key, mid, eq = key[order], mid[order], eq[order]
-        opens = np.flatnonzero(np.diff(key, prepend=-1))
-        check = (np.where(factors < s, factors, s), mid, coeffs[mid, eq],
-                 opens, np.flatnonzero(np.diff(eq[opens], prepend=-1)))
-        self._dead_checks[s] = check
-        return check
+        key, mono, eq = key[order], mono[order], eq[order]
+        slots = np.flatnonzero(np.diff(key, prepend=-1))
+        eqs = np.flatnonzero(np.diff(eq[slots], prepend=-1))
+        fixed, coef = np.where(factors < s, factors, s), coeffs[mono, eq]
+        powers = p ** np.arange(s, dtype=np.int64)
+        batch = max(1, _BLOCK // max(coef.size, len(fixed)))
+        for start in range(0, count, batch):
+            prefixes = first + step * np.arange(start,
+                                                min(start + batch, count),
+                                                dtype=np.int64)
+            digits = np.ones((prefixes.size, s + 1), np.int64)
+            digits[:, :s] = prefixes[:, None] // powers % p
+            value = digits[:, fixed[:, 0]]    # each monomial's fixed factor
+            for d in range(1, fixed.shape[1]):
+                value = value * digits[:, fixed[:, d]] % p
+            nonzero = np.add.reduceat(value[:, mono] * coef % p, slots,
+                                      axis=1) % p != 0
+            dead = nonzero[:, eqs] & (np.add.reduceat(nonzero, eqs, axis=1)
+                                      == 1)
+            yield from prefixes[~dead.any(axis=1)].tolist()
 
 
 def compile_system(table: AlgebraTable, kind: OperatorKind,
@@ -344,19 +367,18 @@ def compile_system(table: AlgebraTable, kind: OperatorKind,
     return CompiledSystem(p, table.dim, tuple(monos), coeffs)
 
 
-def _digit_block(idx: np.ndarray, n2: int, p: int,
-                 stride: int) -> np.ndarray:
+def _digit_block(idx: np.ndarray, n2: int, p: int, k: int,
+                 s: int) -> np.ndarray:
     """The planes of one aligned block of sweep_shard (see there), as the
     kernels take them: _field(p).encode of the block's digits, where digit
     t (little-endian, base p) of a counter value is entry t of its matrix.
 
-    idx is first + stride * (0 .. size - 1), where size = p^k and stride =
-    p^s, and first has k zero digits from digit s up.  Those k digits run
-    through one fixed pattern in every such block; every other digit is
-    the same for the whole block, so its plane is that digit's encoding at
-    every matrix.  The planes are read off the counter at every prime.
+    idx is first + p^s * (0 .. p^k - 1), where first has k zero digits
+    from digit s up.  Those k digits run through one fixed pattern in
+    every such block; every other digit is the same for the whole block,
+    so its plane is that digit's encoding at every matrix.  The planes are
+    read off the counter at every prime.
     """
-    k, s = round(log(idx.size, p)), round(log(stride, p))
     pattern, valid = _counter_pattern(p, k)
     digits, rest = [], int(idx[0])
     for _ in range(n2):
@@ -647,10 +669,11 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
     the rule holds trivially.  sweep_shard holds counter values in int64,
     so the largest, p^(n*n) - 1, must fit too: in dimension 4 that admits
     p = 13 and refuses p >= 17, and only in dimension 1 does the first
-    rule decide.  The kernel maps a block's planes
-    (_digit_block) to the mask of its solutions.  It is a partial of a
-    module-level mask function, so it pickles: a process pool sends this
-    one kernel to every shard job.
+    rule decide.  The kernel maps a block's planes (_digit_block) to the
+    mask of its solutions.  The compiled kernel is the CompiledSystem,
+    which also gives sweep_shard its live prefixes; the direct one is a
+    partial of _direct_mask.  Both pickle: a process pool sends this one
+    kernel to every shard job.
     """
     _check_prime(p)
     if not table.is_bound():
@@ -679,7 +702,7 @@ def sweep_kernel(table: AlgebraTable, kind: OperatorKind, p: int, *,
             f"the counter values of {p}^{n * n} matrices reach {total - 1}, "
             f"past the int64 limit {limit}; use a smaller prime")
     if path == "compiled":
-        return partial(_compiled_mask, compile_system(table, kind, p))
+        return compile_system(table, kind, p)
     return partial(_direct_mask, _direct_form(table, w, p), kind)
 
 
@@ -719,14 +742,14 @@ def sweep_shard(evaluate, n: int, p: int,
     fixes the s = n*n - k digits below them, its prefix: a shard's row and
     the digits above it, or all s digits of a whole sweep.  So _digit_block
     reads the block's planes off the counter at every prime, and the
-    kernel takes those.  The prefixes run in ascending order
-    (_live_prefixes), and for the compiled kernel only, a dead prefix, one
-    under which some equation is a nonzero constant mod p, is skipped.
-    Any other kernel, the direct one included, is given every block, so a
-    direct sweep is the oracle that no skipped block held a solution.  A
-    block's counter values are interleaved with the other blocks', so the
-    hits are sorted once at the end.  No array of all p^s prefixes is
-    built: they are made and checked in bounded batches as the walk goes.
+    kernel takes those.  The prefixes run in ascending order.  A kernel
+    with a live_prefixes method, the compiled one, is given the blocks of
+    the prefixes it yields (CompiledSystem.live_prefixes skips every one
+    under which some equation is a nonzero constant mod p); any other, the
+    direct one included, is given every block, so a direct sweep is the
+    oracle that no skipped block held a solution.  A block's counter
+    values are interleaved with the other blocks', so the hits are sorted
+    once at the end.  No array of all p^s prefixes is built.
     """
     n2 = n * n
     first, step = 0, 1
@@ -739,52 +762,19 @@ def sweep_shard(evaluate, n: int, p: int,
     words = _BLOCK * 64 // (n2 * _field(p).bits)
     while size * p <= min(_BLOCK, span, words):
         size, k = size * p, k + 1
-    stride = p ** (n2 - k)
+    s, count = n2 - k, span // size
+    live = getattr(evaluate, "live_prefixes", None)
+    prefixes = (range(first, first + step * count, step) if live is None
+                else live(s, first, step, count))
     # one array holds each block's counter values in turn, moved in place
-    idx, at = stride * np.arange(size, dtype=np.int64), 0
+    idx, at = p ** s * np.arange(size, dtype=np.int64), 0
     hits = [np.empty(0, np.int64)]
-    for prefix in _live_prefixes(evaluate, p, n2 - k, first, step,
-                                 span // size):
+    for prefix in prefixes:
         idx += prefix - at
         at = prefix
-        mask = evaluate(_digit_block(idx, n2, p, stride))
+        mask = evaluate(_digit_block(idx, n2, p, k, s))
         hits.append(idx[mask[:size]])
     return np.sort(np.concatenate(hits))
-
-
-def _live_prefixes(evaluate, p: int, s: int, first: int, step: int,
-                   count: int):
-    """The prefixes of sweep_shard's blocks, ascending: first + step * j
-    for j below count, the counter values of digits 0 .. s - 1.
-
-    A kernel other than the compiled one gets every prefix.  The compiled
-    kernel's are checked in batches of at most _BLOCK terms' values by its
-    system's dead_check(s), and a prefix under which some equation is a
-    nonzero constant is skipped: no matrix of its block is a solution.
-    Each product is reduced mod p before it is summed, so no value passes
-    (p - 1)^2, which sweep_kernel bounds.
-    """
-    if not (isinstance(evaluate, partial) and evaluate.func is _compiled_mask):
-        yield from range(first, first + step * count, step)
-        return
-    fixed, mono, coef, slots, eqs = evaluate.args[0].dead_check(s)
-    if not eqs.size:
-        yield from range(first, first + step * count, step)
-        return
-    powers = p ** np.arange(s, dtype=np.int64)
-    batch = max(1, _BLOCK // max(coef.size, len(fixed)))
-    for start in range(0, count, batch):
-        prefixes = first + step * np.arange(start, min(start + batch, count),
-                                            dtype=np.int64)
-        digits = np.ones((prefixes.size, s + 1), np.int64)
-        digits[:, :s] = prefixes[:, None] // powers % p
-        value = digits[:, fixed[:, 0]]        # each kept monomial's factor
-        for d in range(1, fixed.shape[1]):
-            value = value * digits[:, fixed[:, d]] % p
-        nonzero = np.add.reduceat(value[:, mono] * coef % p, slots,
-                                  axis=1) % p != 0
-        dead = nonzero[:, eqs] & (np.add.reduceat(nonzero, eqs, axis=1) == 1)
-        yield from prefixes[~dead.any(axis=1)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -323,7 +326,7 @@ def _no_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("the sweep or its pool started")
     monkeypatch.setattr(fp, "_digit_block", started)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", started)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", started)
     return started
 
 
@@ -357,7 +360,7 @@ def test_sharded_enumerate_refuses_before_starting_workers(capsys,
     # on a pool, had they not been refused
     def pool_started(*args, **kwargs):
         raise AssertionError("the worker pool started")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool_started)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_started)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for extra in (["--field", "3"],
                   ["--field", "3037000507", "--budget",
@@ -478,7 +481,7 @@ def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
     def counted(*args):
         compiled.append(args)
         return compile_system(*args)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(fp, "compile_system", counted)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     # the full F_2 sweep of L1 is within DEFAULT_BUDGET: no pool
@@ -505,6 +508,18 @@ def test_pool_is_no_larger_than_the_shards_or_cpus(capsys, monkeypatch,
         assert run(capsys, *argv) == pooled
     assert sizes == [4, 289]
     assert pooled[0] == 0 and json.loads(pooled[1])["count"] > 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a pooled sweep needs multiprocessing; every other command, and
+    # every importer of the CLI, is spared its load time and memory
+    probe = ("import sys, leibnizalg.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_coverage_reports_charts(capsys):

@@ -394,8 +394,8 @@ def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
         assert planes.dtype == want.dtype
         assert np.array_equal(planes, want), (idx.size, idx[0], idx[1:2])
 
-    def recorded(idx, n2, p, stride):
-        planes = digit_block(idx, n2, p, stride)
+    def recorded(idx, n2, p, k, s):
+        planes = digit_block(idx, n2, p, k, s)
         check(idx, planes)
         walked.add(idx.size)
         return planes
@@ -406,7 +406,8 @@ def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
     total, rows = p ** (n * n), p ** n
     words = fp._BLOCK * 64 // (n * n * field.bits)
     for shard in (None, 0, 1, rows - 1):
-        first, stride = (0, 1) if shard is None else (shard, rows)
+        first, s = (0, 0) if shard is None else (shard, n)
+        stride = p ** s
         span = total // stride
         sizes = [p ** k for k in range(n * n + 1)
                  if p ** k <= min(span, words)]
@@ -414,13 +415,13 @@ def test_counter_planes_match_the_digit_planes(monkeypatch, n, p):
         got = sweep_shard(accept_all, n, p, shard)
         assert got.tolist() == list(range(first, total, stride))
         assert walked == {max(size for size in sizes if size <= fp._BLOCK)}
-        for size in sizes:
+        for k, size in enumerate(sizes):
             # a whole sweep's many small blocks are walked in its shards
             if span // size > 1 << 12:
                 continue
             for start in range(0, span, size):
                 idx = first + stride * np.arange(start, start + size)
-                check(idx, digit_block(idx, n * n, p, stride))
+                check(idx, digit_block(idx, n * n, p, k, s))
 
 
 @pytest.mark.parametrize("n, p", [(2, 263), (2, 4099), (4, 1031)])
@@ -430,18 +431,19 @@ def test_sampled_counter_planes_above_p3_match_the_digit_planes(n, p):
     # one matrix, so every digit is fixed; counter values stay in int64
     field, rng = fp._field(p), random.Random(p)
     words = fp._BLOCK * 64 // (n * n * field.bits)
-    size = max(p ** k for k in range(n * n + 1)
-               if p ** k <= min(fp._BLOCK, words))
+    k = max(k for k in range(n * n + 1) if p ** k <= min(fp._BLOCK, words))
+    size = p ** k
     assert size == (263 if p == 263 else 1)
     for shard in (None, 0, 1, p ** n - 1):
-        first, stride = (0, 1) if shard is None else (shard, p ** n)
+        first, s = (0, 0) if shard is None else (shard, n)
+        stride = p ** s
         span = min(p ** (n * n), 1 << 62) // stride
         for _ in range(20):
             start = rng.randrange(span // size) * size
             idx = first + stride * np.arange(start, start + size,
                                              dtype=np.int64)
             want = field.encode(_digits(idx, n * n, p))
-            got = fp._digit_block(idx, n * n, p, stride)
+            got = fp._digit_block(idx, n * n, p, k, s)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (shard, start)
 
@@ -506,9 +508,9 @@ def walked(monkeypatch):
     prefix, the block's fixed low digits."""
     firsts, digit_block = [], fp._digit_block
 
-    def recorded(idx, n2, p, stride):
+    def recorded(idx, n2, p, k, s):
         firsts.append(int(idx[0]))
-        return digit_block(idx, n2, p, stride)
+        return digit_block(idx, n2, p, k, s)
     monkeypatch.setattr(fp, "_digit_block", recorded)
     return firsts
 
@@ -556,8 +558,64 @@ def test_full_p3_compiled_sweep_walks_only_live_blocks(cmap, walked, name,
     assert got.size == count and (np.diff(got) > 0).all()
     direct = sweep_kernel(cmap[name], kind, 3, budget=3 ** 16,
                           path="direct")
-    assert list(fp._live_prefixes(direct, 3, 8, 0, 1, 3 ** 8)) == list(
-        range(3 ** 8))
+    walked.clear()
+    assert sweep_shard(direct, 4, 3).tolist() == got.tolist()
+    assert walked == list(range(3 ** 8))
+
+
+@pytest.mark.parametrize("name, kname, blocks, count", _PRUNED)
+def test_pickled_compiled_kernel_walks_the_same_live_prefixes(
+        cmap, walked, name, kname, blocks, count):
+    # what a pool's shard job receives: the system, pickled before any
+    # sweep, walks the live prefixes of the system it was copied from
+    compiled = sweep_kernel(cmap[name], make_kind(kname), 3, budget=3 ** 16)
+    copy = pickle.loads(pickle.dumps(compiled))
+    want = sweep_shard(compiled, 4, 3).tolist()
+    live = list(walked)
+    walked.clear()
+    assert sweep_shard(copy, 4, 3).tolist() == want
+    assert walked == live and len(live) == blocks and len(want) == count
+    for shard in (0, 40):
+        walked.clear()
+        got = sweep_shard(copy, 4, 3, shard).tolist()
+        assert walked == [m for m in live if m % 81 == shard]
+        assert got == [m for m in want if m % 81 == shard]
+
+
+class _EveryOtherPrefix:
+    """A kernel that accepts every matrix and gives sweep_shard every other
+    prefix as live, noting what it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __call__(self, planes):
+        return np.ones(planes.shape[-1] * 64, dtype=bool)
+
+    def live_prefixes(self, s, first, step, count):
+        self.asked.append((s, first, step, count))
+        return range(first, first + step * count, 2 * step)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_sweep_walks_the_prefixes_a_kernel_gives(monkeypatch, walked, n, p):
+    # a kernel's own live_prefixes decides the walk: exactly the blocks of
+    # the prefixes it yields are evaluated, and exactly their matrices are
+    # the hits, in a whole sweep and in shards, each walked in blocks of
+    # at most p matrices so that every walk has several prefixes
+    monkeypatch.setattr(fp, "_BLOCK", p)
+    total = p ** (n * n)
+    for shard in (None, 0, p ** n - 1):
+        evaluate = _EveryOtherPrefix()
+        walked.clear()
+        got = sweep_shard(evaluate, n, p, shard).tolist()
+        (s, first, step, count), = evaluate.asked
+        live = list(range(first, first + step * count, 2 * step))
+        assert (first, step) == ((0, 1) if shard is None else (shard, p ** n))
+        assert count * p ** (n * n - s) * step == total and count > 1
+        assert walked == live
+        assert got == [m for m in range(first, total, step)
+                       if m % p ** s in live]
 
 
 def _first_block_peak(evaluate, n, p):
